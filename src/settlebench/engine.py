@@ -25,13 +25,17 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .world import (
     GameMap,
     MapGenConfig,
     SpecialKind,
     TerrainKind,
+    Tile,
     cluster_at,
     cluster_in_bounds,
+    cluster_table,
     decode_map,
     encode_map,
     generate_map,
@@ -183,6 +187,8 @@ class City:
     food_store: int = 0
     production_store: int = 0
     per_turn_history: list[OutputPoints] = field(default_factory=list)
+    # the 21 cluster tiles, looked up once per city
+    tiles: tuple[Tile, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def coord(self) -> tuple[int, int]:
@@ -287,19 +293,12 @@ def add_settler(state: GameState, player_id: int, coord: tuple[int, int]) -> Set
 
 def default_start_position(game_map: GameMap) -> tuple[int, int]:
     """Buildable cluster-valid tile closest to the map center; ties by (y, x)."""
-    cx, cy = (game_map.width - 1) / 2, (game_map.height - 1) / 2
-    best = None
-    for y in range(2, game_map.height - 2):
-        for x in range(2, game_map.width - 2):
-            if not game_map.tile(x, y).terrain.buildable:
-                continue
-            d = (x - cx) ** 2 + (y - cy) ** 2
-            key = (d, y, x)
-            if best is None or key < best[0]:
-                best = (key, (x, y))
-    if best is None:
+    ys, xs = np.nonzero(cluster_table(game_map).sites)
+    if not len(xs):
         raise SimulationError("map has no buildable tile with an in-bounds cluster")
-    return best[1]
+    d = (xs - (game_map.width - 1) / 2) ** 2 + (ys - (game_map.height - 1) / 2) ** 2
+    _, y, x = min(zip(d.tolist(), ys.tolist(), xs.tolist()))
+    return x, y
 
 
 def place_initial_settlers(state: GameState, player_id: int = 0) -> None:
@@ -313,55 +312,45 @@ def city_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 def is_legal_founding_site(state: GameState, player_id: int, coord: tuple[int, int]) -> bool:
-    x, y = coord
-    if not state.map.in_bounds(x, y):
-        return False
-    tile = state.map.tile(x, y)
-    if not tile.terrain.buildable:
-        return False
     if not cluster_in_bounds(state.map, coord):
         return False
-    if tile.owner is not None and tile.owner != player_id:
+    tile = state.map.tile(*coord)
+    if not tile.terrain.buildable or tile.owner not in (None, player_id):
         return False
-    for c in state.all_cities():
-        if city_distance(coord, c.coord) < state.config.min_city_distance:
-            return False
-    return True
+    return all(city_distance(coord, c.coord) >= state.config.min_city_distance for c in state.all_cities())
 
 
 def legal_founding_sites(state: GameState, player_id: int) -> list[tuple[int, int]]:
-    """All legal centers, scanned in (y, x) order."""
-    sites = []
-    for y in range(2, state.map.height - 2):
-        for x in range(2, state.map.width - 2):
-            if is_legal_founding_site(state, player_id, (x, y)):
-                sites.append((x, y))
-    return sites
+    """All legal centers in (y, x) order: is_legal_founding_site as array ops."""
+    game_map = state.map
+    legal = cluster_table(game_map).sites.copy()
+    claimed = [t.owner not in (None, player_id) for t in game_map.tiles]
+    legal &= ~np.reshape(claimed, legal.shape)
+    reach = state.config.min_city_distance - 1
+    if reach >= 0:
+        for c in state.all_cities():
+            legal[max(c.y - reach, 0) : c.y + reach + 1, max(c.x - reach, 0) : c.x + reach + 1] = False
+    ys, xs = np.nonzero(legal)
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def found_city(state: GameState, player_id: int, coord: tuple[int, int]) -> City:
     """Found a city of one citizen working its center; consumes a settler there."""
+    if not is_legal_founding_site(state, player_id, coord):
+        raise ValueError(f"{coord} is not a legal founding site for player {player_id}")
     x, y = coord
     tile = state.map.tile(x, y)
-    if not tile.terrain.buildable:
-        raise ValueError(f"cannot found on {tile.terrain.value} at {coord}")
-    if not cluster_in_bounds(state.map, coord):
-        raise ValueError(f"cluster at {coord} leaves the map")
-    if tile.owner is not None and tile.owner != player_id:
-        raise ValueError(f"tile {coord} is claimed by player {tile.owner}")
-    for c in state.all_cities():
-        if city_distance(coord, c.coord) < state.config.min_city_distance:
-            raise ValueError(f"{coord} is within {state.config.min_city_distance} of city {c.id}")
     player = state.player(player_id)
     settler = next((s for s in player.settlers if (s.x, s.y) == coord), None)
     if settler is None:
         raise ValueError(f"player {player_id} has no settler at {coord}")
 
     city = City(id=state.next_city_id, player=player_id, x=x, y=y, founded_turn=state.turn)
+    city.tiles = cluster_at(state.map, coord).tiles
     state.next_city_id += 1
     player.cities.append(city)
     player.settlers.remove(settler)
-    for t in cluster_at(state.map, coord).tiles:
+    for t in city.tiles:
         if t.owner is None:
             t.owner = player_id
     # center is worked from the founding turn on; evict any neighbour working it
@@ -415,17 +404,11 @@ def assign_citizens(
     Eligible tiles are cluster tiles not worked by another city and not
     claimed by another player; ties break by (y, x) ascending.
     """
-    cluster = cluster_at(game_map, city.coord)
     candidates = []
-    for t in cluster.tiles:
-        if (t.x, t.y) == city.coord:
-            continue
-        if t.worked_by is not None and t.worked_by != city.id:
-            continue
-        if t.owner is not None and t.owner != city.player:
-            continue
-        w = weights[(t.x, t.y)] if weights is not None else tile_weight(t, ruleset)
-        candidates.append((-w, t.y, t.x))
+    for t in _eligible_tiles(game_map, city):
+        if (t.x, t.y) != city.coord:
+            w = weights[(t.x, t.y)] if weights is not None else tile_weight(t, ruleset)
+            candidates.append((-w, t.y, t.x))
     candidates.sort()
     worked = {city.coord}
     for _, y, x in candidates[: max(0, city.citizens - 1)]:
@@ -433,15 +416,11 @@ def assign_citizens(
     return worked
 
 
-def _eligible_tile_count(state: GameState, city: City) -> int:
-    n = 0
-    for t in cluster_at(state.map, city.coord).tiles:
-        if t.worked_by is not None and t.worked_by != city.id:
-            continue
-        if t.owner is not None and t.owner != city.player:
-            continue
-        n += 1
-    return n
+def _eligible_tiles(game_map: GameMap, city: City) -> list[Tile]:
+    """The city's cluster tiles not worked by another city and not claimed by another player."""
+    if not city.tiles:
+        city.tiles = cluster_at(game_map, city.coord).tiles
+    return [t for t in city.tiles if t.worked_by in (None, city.id) and t.owner in (None, city.player)]
 
 
 def _settler_step(state: GameState, settler: Settler) -> None:
@@ -493,19 +472,9 @@ def _city_phase(state: GameState) -> None:
     # re-book non-center worked tiles each turn, oldest city first; the
     # center stays booked so no neighbour can ever claim it
     for city in cities:
-        for coord in city.worked:
-            if coord == city.coord:
-                continue
-            tile = state.map.tile(*coord)
-            if tile.worked_by == city.id:
-                tile.worked_by = None
+        _release_worked(state, city)
     for city in cities:
-        worked = assign_citizens(city, state.map, rules, weights=state.weights)
-        for coord in worked:
-            state.map.tile(*coord).worked_by = city.id
-        city.worked = worked
-        if len(worked) < city.citizens:
-            city.citizens = len(worked)  # displaced citizens disband (defensive)
+        _book_worked(state, city)
 
     for city in cities:
         total = YieldTriple()
@@ -541,7 +510,7 @@ def _city_phase(state: GameState) -> None:
         if (
             city.food_store >= threshold
             and city.citizens < cfg.max_city_size
-            and _eligible_tile_count(state, city) > city.citizens
+            and len(_eligible_tiles(state.map, city)) > city.citizens
         ):
             city.citizens += 1
             city.food_store -= threshold
@@ -559,22 +528,22 @@ def _city_phase(state: GameState) -> None:
             # population changed after this turn's work: rebook now so the
             # worked set always matches the head count (production applies
             # from the next turn)
-            _rebook_worked(state, city)
+            _release_worked(state, city)
+            _book_worked(state, city)
 
 
-def _rebook_worked(state: GameState, city: City) -> None:
+def _release_worked(state: GameState, city: City) -> None:
     for coord in city.worked:
-        if coord == city.coord:
-            continue
         tile = state.map.tile(*coord)
-        if tile.worked_by == city.id:
+        if coord != city.coord and tile.worked_by == city.id:
             tile.worked_by = None
-    worked = assign_citizens(city, state.map, state.config.ruleset, weights=state.weights)
-    for coord in worked:
+
+
+def _book_worked(state: GameState, city: City) -> None:
+    city.worked = assign_citizens(city, state.map, state.config.ruleset, weights=state.weights)
+    for coord in city.worked:
         state.map.tile(*coord).worked_by = city.id
-    city.worked = worked
-    if len(worked) < city.citizens:
-        city.citizens = len(worked)
+    city.citizens = min(city.citizens, len(city.worked))  # displaced citizens disband (defensive)
 
 
 def step_turn(state: GameState, agent=None) -> TurnRecord:

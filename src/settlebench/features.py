@@ -19,94 +19,49 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EpisodeLog
-from .world import (
-    BUILDABLE_TERRAINS,
-    GameMap,
-    SpecialKind,
-    TerrainKind,
-    cluster_at,
-)
+from .world import STATIC_COLUMNS, GameMap, cluster_table
+from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
 LABEL_HORIZON = 100
 NEIGHBOR_BAND = (3, 4)  # Chebyshev distances just outside the cluster radius of 2
 
-SPECIAL_ORDER = tuple(SpecialKind)
-TERRAIN_ORDER = tuple(TerrainKind)
-_SPECIAL_INDEX = {s: i for i, s in enumerate(SPECIAL_ORDER)}
-_TERRAIN_INDEX = {t: i for i, t in enumerate(TERRAIN_ORDER)}
-_BUILDABLE_INDEX = {t: i for i, t in enumerate(BUILDABLE_TERRAINS)}
+# the map's static cluster columns, then the two neighbour-band counts
+COLUMNS: tuple[str, ...] = (*STATIC_COLUMNS, "my_neighb", "enemy_neighb")
 
 
 @dataclass(frozen=True)
 class FeatureLayout:
     version: int = 1
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        cols = [f"center_terrain_{t.value}" for t in BUILDABLE_TERRAINS]
-        cols += [f"around_terrain_{t.value}" for t in TERRAIN_ORDER]
-        cols += [f"center_special_{s.value}" for s in SPECIAL_ORDER]
-        cols += [f"around_special_{s.value}" for s in SPECIAL_ORDER]
-        cols += ["center_river", "ocean_access", "deep_ocean_access", "whale_count", "my_neighb", "enemy_neighb"]
-        return tuple(cols)
-
-    @property
-    def dim(self) -> int:
-        return len(self.columns)
+    columns = COLUMNS
+    dim = len(COLUMNS)
 
 
 LAYOUT = FeatureLayout()
 assert LAYOUT.dim == 60
 
 
+def feature_rows(game_map: GameMap, centers, player: int) -> np.ndarray:
+    """(len(centers), 60) feature rows of the clusters at `centers`, from `player`'s side.
+
+    The static columns come from the map's cluster table; the last two
+    count city centers in the two-tile-wide band behind each cluster
+    border, `player`'s own and everyone else's.
+    """
+    table = cluster_table(game_map)
+    out = np.empty((len(centers), LAYOUT.dim))
+    out[:, : len(STATIC_COLUMNS)] = table.static[table.rows(centers)]
+    seats = np.array(list(game_map.city_seats), dtype=int).reshape(1, -1, 2)
+    mine = np.array([owner == player for owner in game_map.city_seats.values()], dtype=bool)
+    ring = np.abs(np.array(centers, dtype=int).reshape(-1, 1, 2) - seats).max(axis=2)
+    band = (ring >= NEIGHBOR_BAND[0]) & (ring <= NEIGHBOR_BAND[1])
+    out[:, -2] = (band & mine).sum(axis=1)
+    out[:, -1] = (band & ~mine).sum(axis=1)
+    return out
+
+
 def extract_features(game_map: GameMap, center: tuple[int, int], player: int) -> np.ndarray:
     """60-dim feature vector for the cluster at `center`, from `player`'s side."""
-    cluster = cluster_at(game_map, center)
-    vec = np.zeros(LAYOUT.dim, dtype=float)
-    i = 0
-
-    center_tile = cluster.center_tile
-    if center_tile.terrain.buildable:
-        vec[i + _BUILDABLE_INDEX[center_tile.terrain]] = 1.0
-    i += len(BUILDABLE_TERRAINS)
-
-    for tile in cluster.surrounding():
-        vec[i + _TERRAIN_INDEX[tile.terrain]] += 1.0
-    i += len(TERRAIN_ORDER)
-
-    if center_tile.special is not None:
-        vec[i + _SPECIAL_INDEX[center_tile.special]] = 1.0
-    i += len(SPECIAL_ORDER)
-
-    for tile in cluster.surrounding():
-        if tile.special is not None:
-            vec[i + _SPECIAL_INDEX[tile.special]] += 1.0
-    i += len(SPECIAL_ORDER)
-
-    vec[i] = 1.0 if center_tile.river else 0.0
-    vec[i + 1] = 1.0 if any(t.terrain is TerrainKind.OCEAN for t in cluster.tiles) else 0.0
-    vec[i + 2] = 1.0 if any(t.terrain is TerrainKind.DEEP_OCEAN for t in cluster.tiles) else 0.0
-    vec[i + 3] = sum(1 for t in cluster.tiles if t.special is SpecialKind.WHALES)
-
-    mine, enemy = _neighbor_city_counts(game_map, center, player)
-    vec[i + 4] = mine
-    vec[i + 5] = enemy
-    return vec
-
-
-def _neighbor_city_counts(game_map: GameMap, center: tuple[int, int], player: int) -> tuple[int, int]:
-    """City centers in the 2-tile-wide band behind the cluster border."""
-    cx, cy = center
-    mine = enemy = 0
-    lo, hi = NEIGHBOR_BAND
-    for (x, y), owner in game_map.city_seats.items():
-        d = max(abs(x - cx), abs(y - cy))
-        if lo <= d <= hi:
-            if owner == player:
-                mine += 1
-            else:
-                enemy += 1
-    return mine, enemy
+    return feature_rows(game_map, [center], player)[0]
 
 
 @dataclass(frozen=True)
@@ -199,17 +154,21 @@ def minmax_fit(dataset: Dataset) -> MinMaxNormalization:
     )
 
 
-def minmax_apply(norm: MinMaxNormalization, vector: np.ndarray) -> np.ndarray:
-    """(x - min) / (max - min) per column; constant columns map to 0.
+def minmax_scale(x, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(x - lo) / (hi - lo) per column; constant columns map to 0.
 
-    Values outside the fitted range extrapolate (no clamping).
+    Values outside [lo, hi] extrapolate (no clamping).
     """
-    vector = np.asarray(vector, dtype=float)
-    span = norm.feature_max - norm.feature_min
-    out = np.zeros_like(vector, dtype=float)
+    x = np.asarray(x, dtype=float)
+    span = hi - lo
+    out = np.zeros_like(x)
     nz = span != 0
-    out[..., nz] = (vector[..., nz] - norm.feature_min[nz]) / span[nz]
+    out[..., nz] = (x[..., nz] - lo[nz]) / span[nz]
     return out
+
+
+def minmax_apply(norm: MinMaxNormalization, vector: np.ndarray) -> np.ndarray:
+    return minmax_scale(vector, norm.feature_min, norm.feature_max)
 
 
 def normalize_label(norm: MinMaxNormalization, label):
@@ -229,10 +188,10 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     parameters go to a `<path>.meta.json` sidecar when fitted."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.layout.columns) + ["label"])
+        writer.writerow([*COLUMNS, "label"])
         for e in dataset.entries:
             writer.writerow([_fmt(v) for v in e.features] + [_fmt(e.label)])
-    meta = {"layout_version": dataset.layout.version, "columns": list(dataset.layout.columns)}
+    meta = {"layout_version": dataset.layout.version, "columns": list(COLUMNS)}
     if dataset.normalization is not None:
         meta["normalization"] = dataset.normalization.to_dict()
     with open(str(path) + ".meta.json", "w") as fh:
@@ -243,7 +202,7 @@ def read_dataset_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header[-1] != "label" or tuple(header[:-1]) != LAYOUT.columns:
+        if header[-1] != "label" or tuple(header[:-1]) != COLUMNS:
             raise ValueError(f"{path}: header does not match feature layout v{LAYOUT.version}")
         entries = [
             DatasetEntry(features=tuple(float(v) for v in row[:-1]), label=float(row[-1]))

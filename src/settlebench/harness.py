@@ -20,7 +20,8 @@ import numpy as np
 
 from . import engine, features, mlp, rl, rulekb
 from .engine import EpisodeLog, GameConfig, GameState
-from .world import GameMap, MapGenConfig, cluster_at, decode_map, encode_map, generate_map
+from .world import GameMap, MapGenConfig, cluster_table, decode_map, encode_map, generate_map
+from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
 
 def episode_seed(base_seed: int, index: int, stream: str = "episode") -> int:
@@ -43,9 +44,6 @@ class Evaluator:
 
     def score_many(self, state: GameState, player_id: int, centers) -> list[float]:
         raise NotImplementedError
-
-    def score(self, state: GameState, player_id: int, center) -> float:
-        return self.score_many(state, player_id, [center])[0]
 
     def trace_for(self, center):
         """Rule trace from the most recent scoring pass, if any."""
@@ -98,39 +96,42 @@ class RuleEvaluator(Evaluator):
         self.table = table
         self.policy = policy
         self.records: list[rl.DecisionRecord] = []
-        self._traces: dict[tuple[int, int], rulekb.ScoreTrace] = {}
+        self._families = [f for f in rulekb.FAMILY_IDS if f in kb.families]
+        self._columns = [rulekb.FAMILY_IDS.index(f) for f in self._families]
+        # the last pass: (map, scored centers, resolved choices)
+        self._pass = None
 
     def begin_episode(self, state):
         self.records = []
-        self._traces = {}
+        self._pass = None
 
     def score_many(self, state, player_id, centers):
         state_id = rl.assign_state(self.cluster_model, rl.state_features(state, player_id))
-        self._traces = {}
-        scores = []
+        table = cluster_table(state.map)
+        mask = table.rule_mask[table.rows(centers)][:, self._columns]
         resolved: dict[str, rulekb.RuleChoice] = {}
-
-        def chooser(conflict_set):
-            choice = resolved.get(conflict_set.family)
-            if choice is None:
-                probs = rl.selection_probabilities(self.table, self.policy, state_id, conflict_set)
-                rule, record = rl.choose(
-                    self.table, self.policy, state_id, conflict_set, turn=state.turn
-                )
-                self.records.append(record)
-                choice = resolved[conflict_set.family] = rulekb.RuleChoice(
-                    rule=rule, probabilities=probs
-                )
-            return choice
-
-        for center in centers:
-            total, trace = rulekb.score_cluster(self.kb, cluster_at(state.map, center), chooser)
-            self._traces[center] = trace
-            scores.append(float(total))
-        return scores
+        points = np.zeros(len(self._families), dtype=int)
+        # resolve each matched family at its first matching center, in
+        # centers order, ties by family id: the policy RNG's draw order
+        matched = np.flatnonzero(mask.any(axis=0))
+        for j in sorted(matched, key=lambda j: mask[:, j].argmax()):
+            conflict_set = self.kb.families[self._families[j]]
+            probs = rl.selection_probabilities(self.table, self.policy, state_id, conflict_set)
+            rule, record = rl.choose(self.table, self.policy, state_id, conflict_set, turn=state.turn)
+            self.records.append(record)
+            resolved[conflict_set.family] = rulekb.RuleChoice(rule=rule, probabilities=probs)
+            points[j] = rule.points
+        self._pass = (state.map, centers, resolved)
+        return [float(total) for total in mask @ points]
 
     def trace_for(self, center):
-        return self._traces.get(center)
+        """Rule trace of `center` under the last pass's resolved choices."""
+        if self._pass is None:
+            return None
+        game_map, centers, resolved = self._pass
+        if center not in centers:
+            return None
+        return rulekb.score_cluster(self.kb, game_map, center, lambda cs: resolved[cs.family])[1]
 
 
 class NnEvaluator(Evaluator):
@@ -145,7 +146,7 @@ class NnEvaluator(Evaluator):
     def score_many(self, state, player_id, centers):
         if not centers:
             return []
-        feats = np.asarray([features.extract_features(state.map, c, player_id) for c in centers])
+        feats = features.feature_rows(state.map, centers, player_id)
         out = mlp.predict(self.model, features.minmax_apply(self.normalization, feats))
         return [float(v) for v in features.denormalize_label(self.normalization, out)]
 
@@ -207,10 +208,15 @@ class RunMetrics:
     tgo: list[float] = field(default_factory=list)
     running_avg: list[float] = field(default_factory=list)
     window: int = 1
+    _total: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._total = float(sum(self.tgo))
 
     def record(self, value: float) -> None:
         self.tgo.append(float(value))
-        self.running_avg.append(float(sum(self.tgo) / len(self.tgo)))
+        self._total += self.tgo[-1]
+        self.running_avg.append(self._total / len(self.tgo))
 
     @property
     def improvement(self) -> float:
@@ -245,16 +251,17 @@ def export_metrics_csv(metrics: RunMetrics, path) -> None:
 
 
 def read_metrics_csv(path, window: int = 1) -> RunMetrics:
-    metrics = RunMetrics(window=window)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["episode", "tgo", "running_avg"]:
             raise ValueError(f"{path}: unexpected metrics header {header}")
-        for row in reader:
-            metrics.tgo.append(float(row[1]))
-            metrics.running_avg.append(float(row[2]))
-    return metrics
+        rows = list(reader)
+    return RunMetrics(
+        tgo=[float(row[1]) for row in rows],
+        running_avg=[float(row[2]) for row in rows],
+        window=window,
+    )
 
 
 def _num(v: float):
@@ -461,7 +468,6 @@ def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], dict]:
         config = json.load(fh)
     window = config.get("metrics_window") or default_window(config["episodes"])
     metrics = read_metrics_csv(os.path.join(path, "metrics.csv"), window=window)
-    metrics.window = window
     log_dir = os.path.join(path, "logs")
     logs = [
         engine.read_episode_log(os.path.join(log_dir, name))
@@ -600,23 +606,17 @@ def train_nn_from_logs(
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "evaluator": config.evaluator,
-        "episodes": config.episodes,
-        "base_seed": config.base_seed,
-        "fixed_map": config.fixed_map,
-        "game": engine.config_to_dict(config.game),
-        "mapgen": {
-            "width": config.mapgen.width,
-            "height": config.mapgen.height,
-            "land_fraction": config.mapgen.land_fraction,
-            "min_buildable_fraction": config.mapgen.min_buildable_fraction,
-            "terrain_weights": [[n, w] for n, w in config.mapgen.terrain_weights],
-            "special_frequency": config.mapgen.special_frequency,
-            "river_frequency": config.mapgen.river_frequency,
-            "continents": config.mapgen.continents,
-        },
-        "rl": dataclasses.asdict(config.rl),
-        "metrics_window": config.metrics_window,
-        "model_path": config.model_path,
-    }
+    return {**dataclasses.asdict(config), "game": engine.config_to_dict(config.game)}
+
+
+def experiment_config_from_dict(d: dict) -> ExperimentConfig:
+    """Inverse of experiment_config_to_dict, also after a JSON round trip."""
+    mapgen = {**d["mapgen"], "terrain_weights": tuple(map(tuple, d["mapgen"]["terrain_weights"]))}
+    return ExperimentConfig(
+        **{
+            **d,
+            "game": engine.config_from_dict(d["game"]),
+            "mapgen": MapGenConfig(**mapgen),
+            "rl": RlConfig(**d["rl"]),
+        }
+    )

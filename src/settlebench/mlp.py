@@ -18,7 +18,7 @@ from .features import (
     LAYOUT,
     Dataset,
     MinMaxNormalization,
-    extract_features,
+    feature_rows,
     minmax_apply,
     minmax_fit,
     denormalize_label,
@@ -299,7 +299,7 @@ def predict_scores(
     ]
     if not centers:
         return {}
-    feats = np.asarray([extract_features(game_map, c, player) for c in centers])
+    feats = feature_rows(game_map, centers, player)
     out = predict(model, minmax_apply(normalization, feats))
     scores = denormalize_label(normalization, out)
     return {c: float(s) for c, s in zip(centers, scores)}

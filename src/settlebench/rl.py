@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import GameState, total_game_output
-from .rulekb import ConflictSet, ScoringRule
-from .world import TerrainKind, cluster_at, cluster_in_bounds
+from .features import minmax_scale
+from .rulekb import FAMILY_IDS, WATER_ACCESS, ConflictSet, ScoringRule
+from .world import cluster_in_bounds, cluster_table
+from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
 STATE_FEATURE_NAMES = (
     "turn",
@@ -43,11 +45,9 @@ def state_features(
     else:
         mean_weight = 0.0
         specials_owned = 0
-    coast = 0
-    for c in player.cities:
-        tiles = cluster_at(state.map, c.coord).tiles if cluster_in_bounds(state.map, c.coord) else ()
-        if any(t.terrain in (TerrainKind.OCEAN, TerrainKind.DEEP_OCEAN) for t in tiles):
-            coast += 1
+    seats = [c.coord for c in player.cities if cluster_in_bounds(state.map, c.coord)]
+    table = cluster_table(state.map)
+    coast = table.rule_mask[table.rows(seats), FAMILY_IDS.index(WATER_ACCESS)].sum()
     values = {
         "turn": float(state.turn),
         "city_count": float(len(player.cities)),
@@ -82,11 +82,7 @@ class ClusterModel:
         return self.centroids.shape[0]
 
     def normalize(self, points: np.ndarray) -> np.ndarray:
-        span = self.feature_max - self.feature_min
-        out = np.zeros_like(points, dtype=float)
-        nz = span != 0
-        out[..., nz] = (points[..., nz] - self.feature_min[nz]) / span[nz]
-        return out
+        return minmax_scale(points, self.feature_min, self.feature_max)
 
 
 def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300, seed: int = 0) -> ClusterModel:
@@ -106,10 +102,7 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300, seed: int = 0) -
 
     feature_min = points.min(axis=0)
     feature_max = points.max(axis=0)
-    span = feature_max - feature_min
-    x = np.zeros_like(points)
-    nz = span != 0
-    x[:, nz] = (points[:, nz] - feature_min[nz]) / span[nz]
+    x = minmax_scale(points, feature_min, feature_max)
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
@@ -219,10 +212,6 @@ class ValueTable:
 
     def q_entry(self, state_id: int, family: str, rule_id: str) -> RunningMean | None:
         return self.q.get((state_id, family, rule_id))
-
-    def q_mean(self, state_id: int, family: str, rule_id: str) -> float | None:
-        entry = self.q.get((state_id, family, rule_id))
-        return entry.mean if entry else None
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .world import MapCluster, SpecialKind, TerrainKind
+import numpy as np
+
+from .world import BUILDABLE_TERRAINS, STATIC_COLUMNS, GameMap, SpecialKind, cluster_table
 
 POINTS_MIN, POINTS_MAX = -20, 20
 
@@ -31,9 +33,6 @@ class ConflictSet:
     family: str
     condition: str  # human-readable summary of the shared condition
     rules: tuple[ScoringRule, ...]
-
-    def rule_ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.rules)
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,7 @@ class RuleChoice:
 
 Chooser = Callable[[ConflictSet], Union[ScoringRule, RuleChoice]]
 
-TERRAIN_FAMILIES = {
-    TerrainKind.GRASSLAND: "terrain_grassland",
-    TerrainKind.PLAINS: "terrain_plains",
-    TerrainKind.HILLS: "terrain_hills",
-    TerrainKind.FOREST: "terrain_forest",
-    TerrainKind.MOUNTAINS: "terrain_mountains",
-    TerrainKind.DESERT: "terrain_desert",
-    TerrainKind.SWAMP: "terrain_swamp",
-    TerrainKind.JUNGLE: "terrain_jungle",
-    TerrainKind.TUNDRA: "terrain_tundra",
-}
+TERRAIN_FAMILIES = {kind: f"terrain_{kind.value.lower()}" for kind in BUILDABLE_TERRAINS}
 
 SPECIAL_ON_CENTER = "special_on_center"
 SPECIALS_AROUND = "specials_around"
@@ -79,36 +68,38 @@ DEEP_OCEAN_ACCESS = "deep_ocean_access"
 WHALE_PRESENCE = "whale_presence"
 
 
-def _has_water(cluster: MapCluster) -> bool:
-    return any(t.terrain in (TerrainKind.OCEAN, TerrainKind.DEEP_OCEAN) for t in cluster.tiles)
-
-
-FAMILY_CONDITIONS: dict[str, tuple[str, Callable[[MapCluster], bool]]] = {
+# Each condition holds when any of its static cluster columns is nonzero
+# (all of them are counts or flags); family_mask() applies them once per
+# map, when the map's cluster table is built.
+FAMILY_CONDITIONS: dict[str, tuple[str, tuple[str, ...]]] = {
     **{
-        family: (
-            f"center terrain is {kind.value}",
-            (lambda kind: lambda cluster: cluster.center_tile.terrain is kind)(kind),
-        )
+        family: (f"center terrain is {kind.value}", (f"center_terrain_{kind.value}",))
         for kind, family in TERRAIN_FAMILIES.items()
     },
     SPECIAL_ON_CENTER: (
         "special resource on the center tile",
-        lambda cluster: cluster.center_tile.special is not None,
+        tuple(f"center_special_{s.value}" for s in SpecialKind),
     ),
     SPECIALS_AROUND: (
         "special resource on a surrounding tile",
-        lambda cluster: any(t.special is not None for t in cluster.surrounding()),
+        tuple(f"around_special_{s.value}" for s in SpecialKind),
     ),
-    WATER_ACCESS: ("ocean or deep ocean tile in the cluster", _has_water),
-    DEEP_OCEAN_ACCESS: (
-        "deep ocean tile in the cluster",
-        lambda cluster: any(t.terrain is TerrainKind.DEEP_OCEAN for t in cluster.tiles),
-    ),
-    WHALE_PRESENCE: (
-        "whales in the cluster",
-        lambda cluster: any(t.special is SpecialKind.WHALES for t in cluster.tiles),
-    ),
+    WATER_ACCESS: ("ocean or deep ocean tile in the cluster", ("ocean_access", "deep_ocean_access")),
+    DEEP_OCEAN_ACCESS: ("deep ocean tile in the cluster", ("deep_ocean_access",)),
+    WHALE_PRESENCE: ("whales in the cluster", ("whale_count",)),
 }
+FAMILY_IDS = tuple(sorted(FAMILY_CONDITIONS))
+
+# (58, 14) 0/1 matrix: static column c feeds the condition of family f
+_CONDITION_COLUMNS = np.array(
+    [[name in FAMILY_CONDITIONS[f][1] for f in FAMILY_IDS] for name in STATIC_COLUMNS], dtype=float
+)
+
+
+def family_mask(static: np.ndarray) -> np.ndarray:
+    """Which FAMILY_IDS conditions hold, per row of static cluster columns."""
+    return static @ _CONDITION_COLUMNS > 0
+
 
 # Four alternative point values per family, ordered so that the leading
 # alternatives of different families express different players' styles (a
@@ -175,23 +166,20 @@ def default_kb() -> KnowledgeBase:
     return kb
 
 
-def match_rules(kb: KnowledgeBase, cluster: MapCluster) -> list[ConflictSet]:
-    """Applicable conflict sets, ordered by family id."""
-    matched = []
-    for family in sorted(kb.families):
-        predicate = FAMILY_CONDITIONS[family][1]
-        if predicate(cluster):
-            matched.append(kb.families[family])
-    return matched
+def match_rules(kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int]) -> list[ConflictSet]:
+    """Conflict sets applicable to the cluster at `center`, ordered by family id."""
+    table = cluster_table(game_map)
+    hits = table.rule_mask[table.rows([center])[0]]
+    return [kb.families[f] for f, hit in zip(FAMILY_IDS, hits) if hit and f in kb.families]
 
 
 def score_cluster(
-    kb: KnowledgeBase, cluster: MapCluster, chooser: Chooser
+    kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int], chooser: Chooser
 ) -> tuple[int, ScoreTrace]:
     """Total of the chosen rule per applicable family, with a full trace."""
     fired = []
     total = 0
-    for conflict_set in match_rules(kb, cluster):
+    for conflict_set in match_rules(kb, game_map, center):
         choice = chooser(conflict_set)
         if isinstance(choice, ScoringRule):
             choice = RuleChoice(rule=choice, probabilities={choice.id: 1.0})

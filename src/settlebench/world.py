@@ -11,6 +11,8 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+import numpy as np
+
 
 class MapGenerationError(ValueError):
     """Bad generator config (dimensions, weights, frequencies)."""
@@ -149,6 +151,9 @@ class GameMap:
     # transient game-state bookkeeping (coord -> owning player); the engine
     # registers founded cities here, the text format does not carry it
     city_seats: dict[tuple[int, int], int] = field(default_factory=dict, compare=False)
+    # static per-map facts, built on first use by cluster_table(); copies
+    # start without one
+    _cluster_table: ClusterTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -190,15 +195,7 @@ class MapCluster:
 
     @property
     def center_tile(self) -> Tile:
-        cx, cy = self.center
-        for t in self.tiles:
-            if t.x == cx and t.y == cy:
-                return t
-        raise ValueError("cluster does not contain its center")
-
-    def surrounding(self) -> tuple[Tile, ...]:
-        cx, cy = self.center
-        return tuple(t for t in self.tiles if (t.x, t.y) != (cx, cy))
+        return self.tiles[CLUSTER_OFFSETS.index((0, 0))]
 
 
 def cluster_in_bounds(game_map: GameMap, center: tuple[int, int]) -> bool:
@@ -213,6 +210,98 @@ def cluster_at(game_map: GameMap, center: tuple[int, int]) -> MapCluster:
     cx, cy = center
     tiles = tuple(game_map.tiles[(cy + dy) * game_map.width + (cx + dx)] for dx, dy in CLUSTER_OFFSETS)
     return MapCluster(center=center, tiles=tiles)
+
+
+# -- static cluster columns: facts that depend only on the terrain, special
+# and river layers. Center one-hots, counts over the 20 surrounding tiles,
+# and ocean/deep-ocean access and whale count over all 21 tiles.
+
+STATIC_COLUMNS: tuple[str, ...] = (
+    *(f"center_terrain_{t.value}" for t in BUILDABLE_TERRAINS),
+    *(f"around_terrain_{t.value}" for t in TerrainKind),
+    *(f"center_special_{s.value}" for s in SpecialKind),
+    *(f"around_special_{s.value}" for s in SpecialKind),
+    *("center_river", "ocean_access", "deep_ocean_access", "whale_count"),
+)
+assert len(STATIC_COLUMNS) == 58
+
+_TERRAIN_INDEX = {t: i for i, t in enumerate(TerrainKind)}
+_SPECIAL_INDEX = {s: i for i, s in enumerate(SpecialKind)}
+_BUILDABLE_COLUMNS = [_TERRAIN_INDEX[t] for t in BUILDABLE_TERRAINS]
+
+
+def _static_columns(game_map: GameMap) -> np.ndarray:
+    """(height, width, 58) static columns per center; zero where the cluster leaves the map."""
+    h, w, n = game_map.height, game_map.width, len(game_map.tiles)
+    terrain = np.fromiter((_TERRAIN_INDEX[t.terrain] for t in game_map.tiles), int, n).reshape(h, w)
+    special = np.fromiter((_SPECIAL_INDEX.get(t.special, -1) for t in game_map.tiles), int, n).reshape(h, w)
+    river = np.fromiter((t.river for t in game_map.tiles), bool, n).reshape(h, w)
+    kinds = terrain[..., None] == np.arange(len(_TERRAIN_INDEX))
+    specials = special[..., None] == np.arange(len(_SPECIAL_INDEX))
+    ih, iw = max(h - 4, 0), max(w - 4, 0)
+    inner = (slice(2, 2 + ih), slice(2, 2 + iw))
+    kinds_21 = np.zeros((ih, iw, kinds.shape[2]))
+    specials_21 = np.zeros((ih, iw, specials.shape[2]))
+    for dx, dy in CLUSTER_OFFSETS:
+        window = (slice(2 + dy, 2 + dy + ih), slice(2 + dx, 2 + dx + iw))
+        kinds_21 += kinds[window]
+        specials_21 += specials[window]
+    center_kinds, center_specials = kinds[inner], specials[inner]
+    out = np.zeros((h, w, len(STATIC_COLUMNS)))
+    out[inner] = np.concatenate(
+        [
+            center_kinds[..., _BUILDABLE_COLUMNS],
+            kinds_21 - center_kinds,
+            center_specials,
+            specials_21 - center_specials,
+            river[inner][..., None],
+            kinds_21[..., [_TERRAIN_INDEX[TerrainKind.OCEAN]]] > 0,
+            kinds_21[..., [_TERRAIN_INDEX[TerrainKind.DEEP_OCEAN]]] > 0,
+            specials_21[..., [_SPECIAL_INDEX[SpecialKind.WHALES]]],
+        ],
+        axis=2,
+        dtype=float,
+    )
+    return out
+
+
+@dataclass(frozen=True)
+class ClusterTable:
+    """Static facts of every center of one map, one row per tile (y*width + x).
+
+    Rows of centers whose cluster leaves the map are zero and never read.
+    """
+
+    static: np.ndarray  # (n, 58) float, STATIC_COLUMNS order
+    rule_mask: np.ndarray  # (n, 14) bool, rule families in rulekb.FAMILY_IDS order
+    sites: np.ndarray  # (height, width) bool: buildable center, cluster in bounds
+
+    def rows(self, centers) -> np.ndarray:
+        """Row index of each center; ValueError if a cluster leaves the map."""
+        h, w = self.sites.shape
+        xy = np.array(centers, dtype=int).reshape(-1, 2)
+        x, y = xy[:, 0], xy[:, 1]
+        inside = (x >= 2) & (x < w - 2) & (y >= 2) & (y < h - 2)
+        if not inside.all():
+            raise ValueError(f"cluster at {tuple(xy[~inside][0].tolist())} leaves the map")
+        return y * w + x
+
+
+def cluster_table(game_map: GameMap) -> ClusterTable:
+    """The map's static table, built on first use and cached on the map.
+
+    The terrain, special and river layers must not change after this first
+    call; ownership, worked tiles and cities may.
+    """
+    if game_map._cluster_table is None:
+        from .rulekb import family_mask  # rulekb imports this module
+
+        static = _static_columns(game_map)
+        # a center one-hot is set exactly on buildable centers with in-bounds clusters
+        sites = static[..., : len(BUILDABLE_TERRAINS)].any(axis=2)
+        static = static.reshape(len(game_map.tiles), -1)
+        game_map._cluster_table = ClusterTable(static=static, rule_mask=family_mask(static), sites=sites)
+    return game_map._cluster_table
 
 
 @dataclass(frozen=True)

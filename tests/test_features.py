@@ -34,6 +34,7 @@ COL = {name: i for i, name in enumerate(LAYOUT.columns)}
 def test_layout_dimension():
     assert LAYOUT.dim == 60
     assert len(set(LAYOUT.columns)) == 60
+    assert LAYOUT.columns is LAYOUT.columns  # one module-level tuple, not rebuilt per call
 
 
 def test_all_grassland_cluster_features():

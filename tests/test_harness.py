@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from settlebench.harness import (
     compare,
     episode_seed,
     evaluate_placements,
+    experiment_config_from_dict,
+    experiment_config_to_dict,
     export_metrics_csv,
     load_run_dir,
     metrics_from_logs,
@@ -150,6 +153,36 @@ def test_metrics_improvement_windows():
         metrics.record(v)
     assert metrics.running_avg == [10.0, 10.0, 40 / 3, 17.5]
     assert metrics.improvement == pytest.approx((25 - 10) / 10)
+
+
+def test_metrics_running_average_is_the_mean_so_far():
+    values = [4278, 0, 17, 9999, 1, 350, 350]
+    metrics = RunMetrics(window=1)
+    for i, v in enumerate(values):
+        metrics.record(v)
+        assert metrics.running_avg[-1] == sum(values[: i + 1]) / (i + 1)
+    resumed = RunMetrics(tgo=[float(v) for v in values[:3]], window=1)
+    resumed.record(values[3])
+    assert resumed.running_avg == [sum(values[:4]) / 4]
+
+
+def test_experiment_config_round_trips_exactly():
+    config = ExperimentConfig(
+        evaluator="nn",
+        episodes=7,
+        base_seed=3,
+        fixed_map=False,
+        game=GameConfig(turn_limit=45, trade_split=(0.25, 0.25, 0.5), start_position=(6, 7)),
+        mapgen=MapGenConfig(width=16, terrain_weights=(("Grassland", 3.0), ("Desert", 0.5))),
+        rl=RlConfig(k=5, epsilon=0.2, epsilon_decay=0.99),
+        metrics_window=3,
+        model_path="model.json",
+        nn_retrain_interval=4,
+    )
+    for source in (config, ExperimentConfig()):
+        d = experiment_config_to_dict(source)
+        assert experiment_config_from_dict(d) == source
+        assert experiment_config_from_dict(json.loads(json.dumps(d))) == source
 
 
 def test_metrics_from_logs_equals_live(tmp_path):

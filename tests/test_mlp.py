@@ -358,8 +358,9 @@ def test_predict_scores_locality():
     model, norm = trained_toy_model()
     game_map = flat_map(14, 14)
     before = predict_scores(model, norm, game_map, player=0)
-    game_map.tile(7, 7).special = SpecialKind.BULL
-    after = predict_scores(model, norm, game_map, player=0)
+    edited = game_map.copy()  # a scanned map's static layers stay fixed; edit a fresh copy
+    edited.tile(7, 7).special = SpecialKind.BULL
+    after = predict_scores(model, norm, edited, player=0)
     changed = {c for c in before if before[c] != after[c]}
     # only clusters containing (7,7) can change
     containing = {c for c in before if max(abs(c[0] - 7), abs(c[1] - 7)) <= 2 and not (abs(c[0] - 7) == 2 and abs(c[1] - 7) == 2)}

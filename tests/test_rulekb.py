@@ -19,16 +19,16 @@ from settlebench.rulekb import (
     trace_from_dict,
     trace_to_dict,
 )
-from settlebench.world import MapGenConfig, SpecialKind, TerrainKind, cluster_at, generate_map
+from settlebench.world import MapGenConfig, SpecialKind, TerrainKind, generate_map
 
 KB = default_kb()
 
 
-def grass_cluster():
-    return cluster_at(flat_map(12, 12), (5, 5))
+def grass_site():
+    return flat_map(12, 12), (5, 5)
 
 
-def fig_style_cluster():
+def fig_style_site():
     """Bull on a grassland center, two specials around, two ocean tiles."""
     game_map = flat_map(12, 12)
     game_map.tile(5, 5).special = SpecialKind.BULL
@@ -38,7 +38,7 @@ def fig_style_cluster():
     game_map.tile(6, 6).terrain = TerrainKind.PLAINS
     game_map.tile(7, 5).terrain = TerrainKind.OCEAN
     game_map.tile(7, 6).terrain = TerrainKind.OCEAN
-    return cluster_at(game_map, (5, 5))
+    return game_map, (5, 5)
 
 
 def test_default_kb_counts():
@@ -75,19 +75,19 @@ def test_kb_rejects_bad_tables():
 
 
 def test_match_rules_plain_grassland():
-    matched = match_rules(KB, grass_cluster())
+    matched = match_rules(KB, *grass_site())
     assert [cs.family for cs in matched] == ["terrain_grassland"]
 
 
 def test_match_rules_fig_style_cluster():
-    matched = {cs.family for cs in match_rules(KB, fig_style_cluster())}
+    matched = {cs.family for cs in match_rules(KB, *fig_style_site())}
     assert matched == {"terrain_grassland", "special_on_center", "specials_around", "water_access"}
 
 
 def test_match_rules_deep_ocean():
     game_map = flat_map(12, 12)
     game_map.tile(7, 5).terrain = TerrainKind.DEEP_OCEAN
-    matched = {cs.family for cs in match_rules(KB, cluster_at(game_map, (5, 5)))}
+    matched = {cs.family for cs in match_rules(KB, game_map, (5, 5))}
     assert "deep_ocean_access" in matched
     assert "water_access" in matched
 
@@ -97,16 +97,15 @@ def test_match_rules_deep_ocean():
 def test_exactly_one_center_terrain_family(seed):
     game_map = generate_map(MapGenConfig(width=12, height=12), seed)
     for center in [(3, 3), (5, 7), (8, 4)]:
-        cluster = cluster_at(game_map, center)
-        if not cluster.center_tile.terrain.buildable:
+        if not game_map.tile(*center).terrain.buildable:
             continue
-        matched = [cs.family for cs in match_rules(KB, cluster) if cs.family.startswith("terrain_")]
+        matched = [cs.family for cs in match_rules(KB, game_map, center) if cs.family.startswith("terrain_")]
         assert len(matched) == 1
 
 
 def test_score_cluster_empty_when_no_family_applies():
     kb = KnowledgeBase({"terrain_desert": (-10, -5, -2, 0)})
-    score, trace = score_cluster(kb, grass_cluster(), max_points_chooser)
+    score, trace = score_cluster(kb, *grass_site(), max_points_chooser)
     assert score == 0
     assert trace.fired == ()
 
@@ -120,7 +119,7 @@ def test_worked_example_sums_to_27():
             "water_access": "water_access_alt1",  # +0
         }
     )
-    score, trace = score_cluster(KB, fig_style_cluster(), chooser)
+    score, trace = score_cluster(KB, *fig_style_site(), chooser)
     assert score == 27
     assert trace.total == 27
     assert sum(fr.points for fr in trace.fired) == 27
@@ -128,35 +127,35 @@ def test_worked_example_sums_to_27():
 
 
 def test_max_chooser_equals_family_maxima():
-    cluster = fig_style_cluster()
-    score, _ = score_cluster(KB, cluster, max_points_chooser)
-    expected = sum(max(r.points for r in cs.rules) for cs in match_rules(KB, cluster))
+    site = fig_style_site()
+    score, _ = score_cluster(KB, *site, max_points_chooser)
+    expected = sum(max(r.points for r in cs.rules) for cs in match_rules(KB, *site))
     assert score == expected
 
 
 def test_chooser_must_return_member():
     alien = KB.family("terrain_desert").rules[0]
     with pytest.raises(ValueError):
-        score_cluster(KB, grass_cluster(), lambda cs: alien)
+        score_cluster(KB, *grass_site(), lambda cs: alien)
 
 
 def test_trace_families_equal_match_rules():
-    cluster = fig_style_cluster()
-    _, trace = score_cluster(KB, cluster, max_points_chooser)
-    assert [fr.family for fr in trace.fired] == [cs.family for cs in match_rules(KB, cluster)]
+    site = fig_style_site()
+    _, trace = score_cluster(KB, *site, max_points_chooser)
+    assert [fr.family for fr in trace.fired] == [cs.family for cs in match_rules(KB, *site)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 200))
 def test_independence_of_family_contributions(alt, seed):
     game_map = generate_map(MapGenConfig(width=12, height=12, special_frequency=0.3), seed)
-    cluster = cluster_at(game_map, (5, 5))
+    site = (game_map, (5, 5))
     chooser = lambda cs: cs.rules[alt]
-    total, trace = score_cluster(KB, cluster, chooser)
+    total, trace = score_cluster(KB, *site, chooser)
     isolated = 0
-    for cs in match_rules(KB, cluster):
+    for cs in match_rules(KB, *site):
         solo = KnowledgeBase({cs.family: tuple(r.points for r in cs.rules)})
-        part, _ = score_cluster(solo, cluster, chooser)
+        part, _ = score_cluster(solo, *site, chooser)
         isolated += part
     assert total == isolated == trace.total
 
@@ -185,7 +184,7 @@ def test_scaling_preserves_ranking():
     scaled = base.scaled(3)
 
     def ranking(kb):
-        scores = [(score_cluster(kb, cluster_at(game_map, c), chooser)[0], c) for c in centers]
+        scores = [(score_cluster(kb, game_map, c, chooser)[0], c) for c in centers]
         return [c for _, c in sorted(scores, key=lambda sc: (-sc[0], sc[1][1], sc[1][0]))]
 
     assert ranking(base) == ranking(scaled)
@@ -193,7 +192,7 @@ def test_scaling_preserves_ranking():
 
 def test_explain_empty_trace():
     kb = KnowledgeBase({"terrain_desert": (-10, -5, -2, 0)})
-    _, trace = score_cluster(kb, grass_cluster(), max_points_chooser)
+    _, trace = score_cluster(kb, *grass_site(), max_points_chooser)
     assert explain(trace) == ["no rules fired"]
 
 
@@ -206,7 +205,7 @@ def test_explain_worked_example():
             "water_access": "water_access_alt1",
         }
     )
-    _, trace = score_cluster(KB, fig_style_cluster(), chooser)
+    _, trace = score_cluster(KB, *fig_style_site(), chooser)
     lines = explain(trace)
     assert len(lines) == len(trace.fired) + 1
     assert lines[-1] == "total: 27"
@@ -217,7 +216,7 @@ def test_explain_worked_example():
 
 
 def test_trace_dict_round_trip():
-    _, trace = score_cluster(KB, fig_style_cluster(), max_points_chooser)
+    _, trace = score_cluster(KB, *fig_style_site(), max_points_chooser)
     assert trace_from_dict(trace_to_dict(trace)) == trace
 
 
