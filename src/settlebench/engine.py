@@ -32,7 +32,6 @@ from .world import (
     MapGenConfig,
     SpecialKind,
     TerrainKind,
-    Tile,
     cluster_at,
     cluster_in_bounds,
     cluster_table,
@@ -153,16 +152,6 @@ def tile_yield(tile, ruleset: Ruleset) -> YieldTriple:
     return y
 
 
-def tile_weight(tile, ruleset: Ruleset) -> int:
-    """Per-turn contribution of a worked tile to the weighted output sum.
-
-    food + 2*production + trade + (gold+luxury+science); the derived points
-    always partition the trade, so the last term equals trade again.
-    """
-    y = tile_yield(tile, ruleset)
-    return y.food + 2 * y.production + 2 * y.trade
-
-
 def convert_trade(trade: int, rates: tuple[float, float, float]) -> tuple[int, int, int]:
     """Split trade into (gold, luxury, science): floors, remainder to science."""
     if abs(sum(rates) - 1.0) > 1e-9 or any(r < 0 for r in rates):
@@ -187,8 +176,9 @@ class City:
     food_store: int = 0
     production_store: int = 0
     per_turn_history: list[OutputPoints] = field(default_factory=list)
-    # the 21 cluster tiles, looked up once per city
-    tiles: tuple[Tile, ...] = field(default=(), repr=False, compare=False)
+    # the 20 non-center cluster tiles as (tile index, coord), best first by
+    # (-weight, y, x); weights are fixed per game, so sorted once at founding
+    candidates: tuple[tuple[int, tuple[int, int]], ...] = field(default=(), repr=False, compare=False)
 
     @property
     def coord(self) -> tuple[int, int]:
@@ -256,10 +246,21 @@ class GameState:
     finished: bool = False
     next_city_id: int = 0
     next_settler_id: int = 0
+    # per tile, row-major (y * width + x): the claiming player and the
+    # working city id, None when free; the map itself holds no game state
+    owner: list[int | None] = field(default_factory=list, repr=False)
+    worked_by: list[int | None] = field(default_factory=list, repr=False)
     # per-episode caches/journal, rebuilt by new_game
     yields: dict[tuple[int, int], YieldTriple] = field(default_factory=dict, repr=False)
+    # per-turn contribution of a worked tile to the weighted output sum:
+    # food + 2*production + trade + (gold+luxury+science), and the derived
+    # points always partition the trade
     weights: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     events: TurnRecord | None = field(default=None, repr=False)
+
+    def index(self, coord: tuple[int, int]) -> int:
+        """Position of a tile in the per-tile lists."""
+        return coord[1] * self.map.width + coord[0]
 
     def player(self, player_id: int) -> PlayerState:
         return self.players[player_id]
@@ -275,6 +276,8 @@ def new_game(game_map: GameMap, config: GameConfig, seed: int, num_players: int 
         config=config,
         players=[PlayerState(player_id=i) for i in range(num_players)],
         rng=random.Random(seed),
+        owner=[None] * len(game_map.tiles),
+        worked_by=[None] * len(game_map.tiles),
     )
     rules = config.ruleset
     for t in game_map.tiles:
@@ -314,17 +317,17 @@ def city_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 def is_legal_founding_site(state: GameState, player_id: int, coord: tuple[int, int]) -> bool:
     if not cluster_in_bounds(state.map, coord):
         return False
-    tile = state.map.tile(*coord)
-    if not tile.terrain.buildable or tile.owner not in (None, player_id):
+    if not state.map.tile(*coord).terrain.buildable:
+        return False
+    if state.owner[state.index(coord)] not in (None, player_id):
         return False
     return all(city_distance(coord, c.coord) >= state.config.min_city_distance for c in state.all_cities())
 
 
 def legal_founding_sites(state: GameState, player_id: int) -> list[tuple[int, int]]:
     """All legal centers in (y, x) order: is_legal_founding_site as array ops."""
-    game_map = state.map
-    legal = cluster_table(game_map).sites.copy()
-    claimed = [t.owner not in (None, player_id) for t in game_map.tiles]
+    legal = cluster_table(state.map).sites.copy()
+    claimed = [owner not in (None, player_id) for owner in state.owner]
     legal &= ~np.reshape(claimed, legal.shape)
     reach = state.config.min_city_distance - 1
     if reach >= 0:
@@ -339,28 +342,30 @@ def found_city(state: GameState, player_id: int, coord: tuple[int, int]) -> City
     if not is_legal_founding_site(state, player_id, coord):
         raise ValueError(f"{coord} is not a legal founding site for player {player_id}")
     x, y = coord
-    tile = state.map.tile(x, y)
     player = state.player(player_id)
     settler = next((s for s in player.settlers if (s.x, s.y) == coord), None)
     if settler is None:
         raise ValueError(f"player {player_id} has no settler at {coord}")
 
     city = City(id=state.next_city_id, player=player_id, x=x, y=y, founded_turn=state.turn)
-    city.tiles = cluster_at(state.map, coord).tiles
+    cluster = [t.coord for t in cluster_at(state.map, coord).tiles]
+    ranked = sorted(cluster, key=lambda c: (-state.weights[c], c[1], c[0]))
+    city.candidates = tuple((state.index(c), c) for c in ranked if c != coord)
     state.next_city_id += 1
     player.cities.append(city)
     player.settlers.remove(settler)
-    for t in city.tiles:
-        if t.owner is None:
-            t.owner = player_id
+    for i in map(state.index, cluster):
+        if state.owner[i] is None:
+            state.owner[i] = player_id
     # center is worked from the founding turn on; evict any neighbour working it
-    if tile.worked_by is not None:
+    center = state.index(coord)
+    displaced = state.worked_by[center]
+    if displaced is not None:
         for other in state.all_cities():
-            if other.id == tile.worked_by:
+            if other.id == displaced:
                 other.worked.discard(coord)
     city.worked = {coord}
-    tile.worked_by = city.id
-    state.map.city_seats[coord] = player_id
+    state.worked_by[center] = city.id
 
     if state.events is not None:
         d = settler.decision or {}
@@ -393,34 +398,23 @@ def set_settler_target(
         state.events.targets.append((settler.id, target))
 
 
-def assign_citizens(
-    city: City,
-    game_map: GameMap,
-    ruleset: Ruleset,
-    weights: dict[tuple[int, int], int] | None = None,
-) -> set[tuple[int, int]]:
+def assign_citizens(state: GameState, city: City) -> set[tuple[int, int]]:
     """Greedy worked-set: center always, then best eligible tiles by weight.
 
     Eligible tiles are cluster tiles not worked by another city and not
     claimed by another player; ties break by (y, x) ascending.
     """
-    candidates = []
-    for t in _eligible_tiles(game_map, city):
-        if (t.x, t.y) != city.coord:
-            w = weights[(t.x, t.y)] if weights is not None else tile_weight(t, ruleset)
-            candidates.append((-w, t.y, t.x))
-    candidates.sort()
-    worked = {city.coord}
-    for _, y, x in candidates[: max(0, city.citizens - 1)]:
-        worked.add((x, y))
-    return worked
+    return {city.coord, *_eligible_tiles(state, city)[: max(0, city.citizens - 1)]}
 
 
-def _eligible_tiles(game_map: GameMap, city: City) -> list[Tile]:
-    """The city's cluster tiles not worked by another city and not claimed by another player."""
-    if not city.tiles:
-        city.tiles = cluster_at(game_map, city.coord).tiles
-    return [t for t in city.tiles if t.worked_by in (None, city.id) and t.owner in (None, city.player)]
+def _eligible_tiles(state: GameState, city: City) -> list[tuple[int, int]]:
+    """The city's non-center eligible tiles, best first."""
+    owner, worked_by = state.owner, state.worked_by
+    return [
+        coord
+        for i, coord in city.candidates
+        if worked_by[i] in (None, city.id) and owner[i] in (None, city.player)
+    ]
 
 
 def _settler_step(state: GameState, settler: Settler) -> None:
@@ -510,7 +504,7 @@ def _city_phase(state: GameState) -> None:
         if (
             city.food_store >= threshold
             and city.citizens < cfg.max_city_size
-            and len(_eligible_tiles(state.map, city)) > city.citizens
+            and len(_eligible_tiles(state, city)) >= city.citizens  # room for one more beside the center
         ):
             city.citizens += 1
             city.food_store -= threshold
@@ -534,15 +528,15 @@ def _city_phase(state: GameState) -> None:
 
 def _release_worked(state: GameState, city: City) -> None:
     for coord in city.worked:
-        tile = state.map.tile(*coord)
-        if coord != city.coord and tile.worked_by == city.id:
-            tile.worked_by = None
+        i = state.index(coord)
+        if coord != city.coord and state.worked_by[i] == city.id:
+            state.worked_by[i] = None
 
 
 def _book_worked(state: GameState, city: City) -> None:
-    city.worked = assign_citizens(city, state.map, state.config.ruleset, weights=state.weights)
+    city.worked = assign_citizens(state, city)
     for coord in city.worked:
-        state.map.tile(*coord).worked_by = city.id
+        state.worked_by[state.index(coord)] = city.id
     city.citizens = min(city.citizens, len(city.worked))  # displaced citizens disband (defensive)
 
 
@@ -626,11 +620,12 @@ def run_episode(
     player_id: int = 0,
     on_turn=None,
 ) -> EpisodeLog:
-    """Run one full game; the log replays to the same final TGO."""
-    if game_map is not None:
-        episode_map = game_map.copy()
-    else:
-        episode_map = generate_map(mapgen or MapGenConfig(), seed)
+    """Run one full game; the log replays to the same final TGO.
+
+    A given `game_map` is played as is: games never write to the map, so
+    every episode on it shares its cluster table.
+    """
+    episode_map = game_map if game_map is not None else generate_map(mapgen or MapGenConfig(), seed)
     map_text = encode_map(episode_map)
     state = new_game(episode_map, config, seed)
     place_initial_settlers(state, player_id)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EpisodeLog
-from .world import STATIC_COLUMNS, GameMap, cluster_table
+from .engine import EpisodeLog, GameState
+from .world import STATIC_COLUMNS, cluster_table
 from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
 LABEL_HORIZON = 100
@@ -40,18 +40,19 @@ LAYOUT = FeatureLayout()
 assert LAYOUT.dim == 60
 
 
-def feature_rows(game_map: GameMap, centers, player: int) -> np.ndarray:
+def feature_rows(state: GameState, centers, player: int) -> np.ndarray:
     """(len(centers), 60) feature rows of the clusters at `centers`, from `player`'s side.
 
     The static columns come from the map's cluster table; the last two
-    count city centers in the two-tile-wide band behind each cluster
+    count the game's cities in the two-tile-wide band behind each cluster
     border, `player`'s own and everyone else's.
     """
-    table = cluster_table(game_map)
+    table = cluster_table(state.map)
     out = np.empty((len(centers), LAYOUT.dim))
     out[:, : len(STATIC_COLUMNS)] = table.static[table.rows(centers)]
-    seats = np.array(list(game_map.city_seats), dtype=int).reshape(1, -1, 2)
-    mine = np.array([owner == player for owner in game_map.city_seats.values()], dtype=bool)
+    cities = list(state.all_cities())
+    seats = np.array([c.coord for c in cities], dtype=int).reshape(1, -1, 2)
+    mine = np.array([c.player == player for c in cities], dtype=bool)
     ring = np.abs(np.array(centers, dtype=int).reshape(-1, 1, 2) - seats).max(axis=2)
     band = (ring >= NEIGHBOR_BAND[0]) & (ring <= NEIGHBOR_BAND[1])
     out[:, -2] = (band & mine).sum(axis=1)
@@ -59,9 +60,9 @@ def feature_rows(game_map: GameMap, centers, player: int) -> np.ndarray:
     return out
 
 
-def extract_features(game_map: GameMap, center: tuple[int, int], player: int) -> np.ndarray:
+def extract_features(state: GameState, center: tuple[int, int], player: int) -> np.ndarray:
     """60-dim feature vector for the cluster at `center`, from `player`'s side."""
-    return feature_rows(game_map, [center], player)[0]
+    return feature_rows(state, [center], player)[0]
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ class NnEvaluator(Evaluator):
     def score_many(self, state, player_id, centers):
         if not centers:
             return []
-        feats = features.feature_rows(state.map, centers, player_id)
+        feats = features.feature_rows(state, centers, player_id)
         out = mlp.predict(self.model, features.minmax_apply(self.normalization, feats))
         return [float(v) for v in features.denormalize_label(self.normalization, out)]
 
@@ -192,7 +192,7 @@ class SettlementAgent:
             trace = self.evaluator.trace_for(center)
             decision = {
                 "score": score,
-                "features": [float(v) for v in features.extract_features(state.map, center, self.player_id)],
+                "features": [float(v) for v in features.extract_features(state, center, self.player_id)],
                 "trace": rulekb.trace_to_dict(trace) if trace is not None else None,
                 "evaluator": self.evaluator.kind,
             }

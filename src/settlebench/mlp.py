@@ -18,13 +18,10 @@ from .features import (
     LAYOUT,
     Dataset,
     MinMaxNormalization,
-    feature_rows,
     minmax_apply,
     minmax_fit,
-    denormalize_label,
     normalize_label,
 )
-from .world import GameMap
 
 
 @dataclass(frozen=True)
@@ -281,28 +278,6 @@ def grid_search(dataset: Dataset, grid: list[MlpConfig], folds: int = 10, seed: 
         results.append((config, float(report.mean_cv_mse)))
     report = GridSearchReport(results=results)
     return report.best()[0], report
-
-
-def predict_scores(
-    model: MlpModel,
-    normalization: MinMaxNormalization,
-    game_map: GameMap,
-    player: int,
-) -> dict[tuple[int, int], float]:
-    """De-normalized predicted output for every in-bounds cluster center."""
-    if model.config.input_dim != LAYOUT.dim:
-        raise ValueError(f"model input dim {model.config.input_dim} != feature layout dim {LAYOUT.dim}")
-    centers = [
-        (x, y)
-        for y in range(2, game_map.height - 2)
-        for x in range(2, game_map.width - 2)
-    ]
-    if not centers:
-        return {}
-    feats = feature_rows(game_map, centers, player)
-    out = predict(model, minmax_apply(normalization, feats))
-    scores = denormalize_label(normalization, out)
-    return {c: float(s) for c, s in zip(centers, scores)}
 
 
 # -- model file --------------------------------------------------------------

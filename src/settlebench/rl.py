@@ -38,7 +38,7 @@ def state_features(
 ) -> np.ndarray:
     """Numeric summary of a game state for one player, in `names` order."""
     player = state.player(player_id)
-    owned = [t for t in state.map.tiles if t.owner == player_id]
+    owned = [t for t, owner in zip(state.map.tiles, state.owner) if owner == player_id]
     if owned:
         mean_weight = sum(state.weights[(t.x, t.y)] for t in owned) / len(owned)
         specials_owned = sum(1 for t in owned if t.special is not None)

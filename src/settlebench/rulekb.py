@@ -151,14 +151,6 @@ class KnowledgeBase:
     def family(self, family_id: str) -> ConflictSet:
         return self.families[family_id]
 
-    def scaled(self, factor: int) -> "KnowledgeBase":
-        """Same KB with every point value multiplied by a positive integer."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return KnowledgeBase(
-            {f: tuple(r.points * factor for r in cs.rules) for f, cs in self.families.items()}
-        )
-
 
 def default_kb() -> KnowledgeBase:
     kb = KnowledgeBase(DEFAULT_POINT_TABLE)
@@ -233,34 +225,6 @@ def explain(trace: ScoreTrace) -> list[str]:
         )
     lines.append(f"total: {trace.total}")
     return lines
-
-
-def save_kb(kb: KnowledgeBase, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# settlement scoring knowledge base v1\n")
-        for family, cs in kb.families.items():
-            fh.write(f"family {family}\n")
-            for r in cs.rules:
-                fh.write(f"  {r.id} {r.points}\n")
-
-
-def load_kb(path) -> KnowledgeBase:
-    table: dict[str, list[int]] = {}
-    current: str | None = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("family "):
-                current = line.split(None, 1)[1]
-                table[current] = []
-            else:
-                if current is None:
-                    raise ValueError(f"rule line before any family: {line!r}")
-                _, points = line.rsplit(None, 1)
-                table[current].append(int(points))
-    return KnowledgeBase({f: tuple(ps) for f, ps in table.items()})
 
 
 # -- trace (de)serialization for episode logs --------------------------------

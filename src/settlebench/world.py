@@ -134,8 +134,6 @@ class Tile:
     terrain: TerrainKind
     special: SpecialKind | None = None
     river: bool = False
-    owner: int | None = None
-    worked_by: int | None = None
 
     @property
     def coord(self) -> tuple[int, int]:
@@ -148,9 +146,6 @@ class GameMap:
     height: int
     tiles: list[Tile]  # row-major, y*width + x
     seed: int
-    # transient game-state bookkeeping (coord -> owning player); the engine
-    # registers founded cities here, the text format does not carry it
-    city_seats: dict[tuple[int, int], int] = field(default_factory=dict, compare=False)
     # static per-map facts, built on first use by cluster_table(); copies
     # start without one
     _cluster_table: ClusterTable | None = field(default=None, init=False, repr=False, compare=False)
@@ -164,13 +159,12 @@ class GameMap:
         return self.tiles[y * self.width + x]
 
     def copy(self) -> "GameMap":
-        """Independent deep copy; generated maps stay pristine across episodes."""
+        """Independent deep copy, without the cached cluster table."""
         return GameMap(
             width=self.width,
             height=self.height,
             tiles=[replace(t) for t in self.tiles],
             seed=self.seed,
-            city_seats=dict(self.city_seats),
         )
 
     def buildable_fraction(self) -> float:
@@ -291,7 +285,9 @@ def cluster_table(game_map: GameMap) -> ClusterTable:
     """The map's static table, built on first use and cached on the map.
 
     The terrain, special and river layers must not change after this first
-    call; ownership, worked tiles and cities may.
+    call. Who claims and works each tile, and where the cities stand, is
+    game state kept in `engine.GameState`, so every episode played on the
+    map shares the table.
     """
     if game_map._cluster_table is None:
         from .rulekb import family_mask  # rulekb imports this module
@@ -444,11 +440,7 @@ def _grow_continents(config: MapGenConfig, rng: random.Random) -> list[list[bool
 
 
 def encode_map(game_map: GameMap) -> str:
-    """Layered text format: `W H SEED`, terrain rows, specials, rivers.
-
-    An ownership block is appended only when some tile has an owner, so
-    freshly generated maps stay at the three documented layers.
-    """
+    """Layered text format: `W H SEED`, terrain rows, specials, rivers."""
     lines = [f"{game_map.width} {game_map.height} {game_map.seed}"]
     rows = range(game_map.height)
     cols = range(game_map.width)
@@ -466,16 +458,6 @@ def encode_map(game_map: GameMap) -> str:
     lines.append("")
     for y in rows:
         lines.append("".join(RIVER_CHAR if game_map.tile(x, y).river else NONE_CHAR for x in cols))
-
-    if any(t.owner is not None for t in game_map.tiles):
-        lines.append("")
-        for y in rows:
-            lines.append(
-                "".join(
-                    str(t.owner) if t.owner is not None else NONE_CHAR
-                    for t in (game_map.tile(x, y) for x in cols)
-                )
-            )
     return "\n".join(lines) + "\n"
 
 
@@ -494,9 +476,9 @@ def decode_map(text: str) -> GameMap:
         raise MapFormatError("non-positive map dimensions")
 
     blocks = _split_blocks(lines[1:])
-    if len(blocks) not in (3, 4):
-        raise MapFormatError(f"expected 3 layers (optionally +ownership), found {len(blocks)}")
-    for name, block in zip(("terrain", "special", "river", "owner"), blocks):
+    if len(blocks) != 3:
+        raise MapFormatError(f"expected 3 layers (terrain, special, river), found {len(blocks)}")
+    for name, block in zip(("terrain", "special", "river"), blocks):
         if len(block) != h:
             raise MapFormatError(f"{name} layer has {len(block)} rows, expected {h}")
         for row in block:
@@ -521,16 +503,7 @@ def decode_map(text: str) -> GameMap:
                 raise MapFormatError(f"river on water tile at ({x},{y})")
             if special is SpecialKind.WHALES and terrain is not TerrainKind.OCEAN:
                 raise MapFormatError(f"Whales off Ocean at ({x},{y})")
-            owner: int | None = None
-            if len(blocks) == 4:
-                oc = blocks[3][y][x]
-                if oc != NONE_CHAR:
-                    if not oc.isdigit():
-                        raise MapFormatError(f"unknown owner char {oc!r} at ({x},{y})")
-                    owner = int(oc)
-            tiles.append(
-                Tile(x=x, y=y, terrain=terrain, special=special, river=rc == RIVER_CHAR, owner=owner)
-            )
+            tiles.append(Tile(x=x, y=y, terrain=terrain, special=special, river=rc == RIVER_CHAR))
     return GameMap(width=w, height=h, tiles=tiles, seed=seed)
 
 

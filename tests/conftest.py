@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from settlebench import engine, harness
+from settlebench import engine, harness, rl
 from settlebench.world import GameMap, MapGenConfig, Tile, TerrainKind, generate_map
 
 
@@ -8,6 +9,14 @@ def flat_map(width=12, height=12, terrain=TerrainKind.GRASSLAND, seed=0) -> Game
     """Uniform synthetic map for hand-checkable scenarios."""
     tiles = [Tile(x=x, y=y, terrain=terrain) for y in range(height) for x in range(width)]
     return GameMap(width=width, height=height, tiles=tiles, seed=seed)
+
+
+def single_state_model() -> rl.ClusterModel:
+    """A k=1 state abstraction: every game state maps to state 0."""
+    n = len(rl.STATE_FEATURE_NAMES)
+    return rl.ClusterModel(
+        centroids=np.zeros((1, n)), feature_min=np.zeros(n), feature_max=np.ones(n), inertia=0.0, iterations=1
+    )
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_map
+from conftest import flat_map, single_state_model
 from settlebench import rl
 from settlebench.engine import (
     GameConfig,
@@ -76,7 +76,7 @@ def mid_game(draw):
         add_settler(state, player, site)
         found_city(state, player, site)
     for _ in range(draw(st.integers(0, 25))):
-        rnd.choice(game_map.tiles).owner = rnd.choice([None, 0, 1, 2])
+        state.owner[rnd.randrange(len(state.owner))] = rnd.choice([None, 0, 1, 2])
     return state
 
 
@@ -157,9 +157,9 @@ def test_table_rows_reject_clusters_leaving_the_map():
 # -- features --------------------------------------------------------------------
 
 
-def oracle_features(game_map, center, player) -> list[float]:
+def oracle_features(state, center, player) -> list[float]:
     """The 60 columns, counted tile by tile."""
-    cluster = cluster_at(game_map, center)
+    cluster = cluster_at(state.map, center)
     center_tile = cluster.center_tile
     around = [t for t in cluster.tiles if t is not center_tile]
     vec = [float(center_tile.terrain is t) for t in BUILDABLE_TERRAINS]
@@ -171,9 +171,9 @@ def oracle_features(game_map, center, player) -> list[float]:
     vec.append(float(any(t.terrain is TerrainKind.DEEP_OCEAN for t in cluster.tiles)))
     vec.append(float(sum(t.special is SpecialKind.WHALES for t in cluster.tiles)))
     band = [
-        owner
-        for (x, y), owner in game_map.city_seats.items()
-        if 3 <= max(abs(x - center[0]), abs(y - center[1])) <= 4
+        city.player
+        for city in state.all_cities()
+        if 3 <= max(abs(city.x - center[0]), abs(city.y - center[1])) <= 4
     ]
     vec += [float(sum(o == player for o in band)), float(sum(o != player for o in band))]
     assert len(vec) == LAYOUT.dim
@@ -184,17 +184,10 @@ def oracle_features(game_map, center, player) -> list[float]:
 @given(mid_game(), st.integers(0, 1))
 def test_table_features_match_tile_by_tile_counts(state, player):
     for center in centers_of(state.map):
-        assert list(extract_features(state.map, center, player)) == oracle_features(state.map, center, player)
+        assert list(extract_features(state, center, player)) == oracle_features(state, center, player)
 
 
 # -- rule scoring ------------------------------------------------------------------
-
-
-def single_state_model() -> rl.ClusterModel:
-    n = len(rl.STATE_FEATURE_NAMES)
-    return rl.ClusterModel(
-        centroids=np.zeros((1, n)), feature_min=np.zeros(n), feature_max=np.ones(n), inertia=0.0, iterations=1
-    )
 
 
 def reference_pass(state, centers, table, policy):

@@ -29,7 +29,16 @@ from settlebench.engine import (
     total_game_output,
     write_episode_log,
 )
-from settlebench.world import SPECIAL_TERRAINS, SpecialKind, TerrainKind, Tile, generate_map, MapGenConfig
+from settlebench.world import (
+    SPECIAL_TERRAINS,
+    MapGenConfig,
+    SpecialKind,
+    TerrainKind,
+    Tile,
+    cluster_table,
+    encode_map,
+    generate_map,
+)
 
 RULES = default_ruleset()
 
@@ -119,9 +128,9 @@ def test_found_city_on_grassland():
     assert city.citizens == 1
     assert city.worked == {(5, 5)}
     assert not state.players[0].settlers
-    assert state.map.tile(5, 5).owner == 0
-    assert state.map.tile(7, 5).owner == 0  # cluster claimed
-    assert state.map.city_seats[(5, 5)] == 0
+    assert state.owner[state.index((5, 5))] == 0
+    assert state.owner[state.index((7, 5))] == 0  # cluster claimed
+    assert [(c.coord, c.player) for c in state.all_cities()] == [((5, 5), 0)]
 
 
 def test_found_city_rejects_water():
@@ -156,16 +165,17 @@ def test_assign_single_citizen_works_center():
     state = grass_state()
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
-    assert assign_citizens(city, state.map, RULES) == {(5, 5)}
+    assert assign_citizens(state, city) == {(5, 5)}
 
 
 def test_assign_prefers_dominating_tile():
-    state = grass_state()
-    state.map.tile(6, 5).special = SpecialKind.BULL  # strictly better than bare grass
+    game_map = flat_map(12, 12)
+    game_map.tile(6, 5).special = SpecialKind.BULL  # strictly better than bare grass
+    state = new_game(game_map, GameConfig(turn_limit=40), seed=0)
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
     city.citizens = 2
-    assert assign_citizens(city, state.map, RULES) == {(5, 5), (6, 5)}
+    assert assign_citizens(state, city) == {(5, 5), (6, 5)}
 
 
 def test_assign_tie_breaks_by_y_then_x():
@@ -174,7 +184,7 @@ def test_assign_tie_breaks_by_y_then_x():
     city = found_city(state, 0, (5, 5))
     city.citizens = 2
     # uniform weights: the (y, x)-smallest surrounding tile wins
-    assert assign_citizens(city, state.map, RULES) == {(5, 5), (4, 3)}
+    assert assign_citizens(state, city) == {(5, 5), (4, 3)}
 
 
 def test_assign_full_city_works_all_21():
@@ -182,18 +192,33 @@ def test_assign_full_city_works_all_21():
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
     city.citizens = 21
-    assert len(assign_citizens(city, state.map, RULES)) == 21
+    assert len(assign_citizens(state, city)) == 21
 
 
 def test_assign_skips_other_players_claims():
     state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), seed=0, num_players=2)
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
-    state.map.tile(6, 5).owner = 1
+    state.owner[state.index((6, 5))] = 1
     city.citizens = 21
-    worked = assign_citizens(city, state.map, RULES)
+    worked = assign_citizens(state, city)
     assert (6, 5) not in worked
     assert len(worked) == 20
+
+
+def test_growth_needs_a_free_tile():
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), seed=0, num_players=2)
+    add_settler(state, 0, (5, 5))
+    city = found_city(state, 0, (5, 5))
+    for i, _ in city.candidates:
+        state.owner[i] = 1  # another player claims every tile beside the center
+    city.food_store = 1000
+    step_turn(state)
+    assert city.citizens == 1
+    assert city.food_store == 1000 + 4 - 2  # grass center 2 + center bonus 2, one citizen eats 2
+    state.owner[city.candidates[0][0]] = None
+    step_turn(state)
+    assert city.citizens == 2
 
 
 # -- turn stepping -----------------------------------------------------------------
@@ -357,6 +382,19 @@ def test_worked_set_legality():
                 assert coord in cluster
                 assert coord not in seen, "tile worked by two cities"
                 seen[coord] = city.id
+
+
+def test_episodes_share_one_map_and_its_table():
+    game_map = generate_map(MapGenConfig(), seed=11)
+    pristine = encode_map(game_map)
+    config = GameConfig(turn_limit=40)
+    first = run_episode(WeightAgent(), config, 3, game_map=game_map)
+    table = cluster_table(game_map)
+    second = run_episode(WeightAgent(), config, 3, game_map=game_map)
+    assert first == second
+    assert first.foundings()  # the games did found cities on the shared map
+    assert cluster_table(game_map) is table
+    assert encode_map(game_map) == pristine
 
 
 def test_replay_reproduces_tgo():

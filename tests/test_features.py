@@ -11,6 +11,9 @@ from settlebench.engine import (
     GameConfig,
     OutputPoints,
     TurnRecord,
+    add_settler,
+    found_city,
+    new_game,
 )
 from settlebench.features import (
     LAYOUT,
@@ -31,6 +34,10 @@ from settlebench.world import MapGenConfig, SpecialKind, TerrainKind, encode_map
 COL = {name: i for i, name in enumerate(LAYOUT.columns)}
 
 
+def fresh_game(game_map, num_players=1):
+    return new_game(game_map, GameConfig(), seed=0, num_players=num_players)
+
+
 def test_layout_dimension():
     assert LAYOUT.dim == 60
     assert len(set(LAYOUT.columns)) == 60
@@ -38,7 +45,7 @@ def test_layout_dimension():
 
 
 def test_all_grassland_cluster_features():
-    vec = extract_features(flat_map(12, 12), (5, 5), player=0)
+    vec = extract_features(fresh_game(flat_map(12, 12)), (5, 5), player=0)
     assert vec[COL["center_terrain_Grassland"]] == 1.0
     assert vec[COL["around_terrain_Grassland"]] == 20.0
     nonzero = {LAYOUT.columns[i] for i in np.nonzero(vec)[0]}
@@ -54,7 +61,7 @@ def test_fig_style_cluster_features():
     game_map.tile(6, 6).terrain = TerrainKind.PLAINS
     game_map.tile(7, 5).terrain = TerrainKind.OCEAN
     game_map.tile(7, 6).terrain = TerrainKind.OCEAN
-    vec = extract_features(game_map, (5, 5), player=0)
+    vec = extract_features(fresh_game(game_map), (5, 5), player=0)
     assert vec[COL["center_special_Bull"]] == 1.0
     around_special = [v for name, v in zip(LAYOUT.columns, vec) if name.startswith("around_special_")]
     assert sum(around_special) == 2.0
@@ -64,15 +71,14 @@ def test_fig_style_cluster_features():
 
 
 def test_neighbor_band_counts():
-    game_map = flat_map(16, 16)
-    # own city 2 tiles beyond the cluster edge (distance 4 from center)
-    game_map.city_seats[(12, 8)] = 0
-    # enemy city in-band at distance 3
-    game_map.city_seats[(8, 11)] = 1
-    # cities inside the cluster or beyond the band do not count
-    game_map.city_seats[(9, 8)] = 0
-    game_map.city_seats[(3, 8)] = 1
-    vec = extract_features(game_map, (8, 8), player=0)
+    state = fresh_game(flat_map(16, 16), num_players=2)
+    # own city 2 tiles beyond the cluster edge (distance 4 from center),
+    # enemy city in-band at distance 3; cities inside the cluster or beyond
+    # the band do not count
+    for player, coord in [(0, (12, 8)), (1, (8, 11)), (0, (9, 8)), (1, (3, 8))]:
+        add_settler(state, player, coord)
+        found_city(state, player, coord)
+    vec = extract_features(state, (8, 8), player=0)
     assert vec[COL["my_neighb"]] == 1.0
     assert vec[COL["enemy_neighb"]] == 1.0
 
@@ -82,7 +88,7 @@ def test_whale_count_and_deep_access():
     game_map.tile(6, 5).terrain = TerrainKind.OCEAN
     game_map.tile(6, 5).special = SpecialKind.WHALES
     game_map.tile(4, 5).terrain = TerrainKind.DEEP_OCEAN
-    vec = extract_features(game_map, (5, 5), player=0)
+    vec = extract_features(fresh_game(game_map), (5, 5), player=0)
     assert vec[COL["whale_count"]] == 1.0
     assert vec[COL["deep_ocean_access"]] == 1.0
     assert vec[COL["ocean_access"]] == 1.0
@@ -93,7 +99,7 @@ def test_whale_count_and_deep_access():
 def test_feature_invariants_hold(seed):
     game_map = generate_map(MapGenConfig(width=14, height=14, special_frequency=0.3), seed)
     for center in [(3, 3), (7, 7), (10, 5)]:
-        vec = extract_features(game_map, center, player=0)
+        vec = extract_features(fresh_game(game_map), center, player=0)
         center_onehot = [vec[COL[f"center_terrain_{t.value}"]] for t in TerrainKind if t.buildable]
         if game_map.tile(*center).terrain.buildable:
             assert sum(center_onehot) == 1.0

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import flat_map
 from settlebench.features import Dataset, DatasetEntry, minmax_fit
 from settlebench.mlp import (
     AdamState,
@@ -19,11 +18,9 @@ from settlebench.mlp import (
     load_model,
     mse,
     predict,
-    predict_scores,
     save_model,
     train,
 )
-from settlebench.world import SpecialKind
 
 
 def small_config(**kwargs) -> MlpConfig:
@@ -335,37 +332,6 @@ def test_grid_search_picks_the_unsabotaged_config():
 
     with pytest.raises(ValueError):
         grid_search(ds, [], folds=4)
-
-
-# -- map scoring -------------------------------------------------------------------
-
-
-def trained_toy_model():
-    ds = linear_dataset(n=80, d=60, seed=1)
-    cfg = MlpConfig(input_dim=60, hidden=(8,), epochs=2, batch_size=8, dropout=0.0, seed=0)
-    return train(ds, cfg)[0], ds.normalization
-
-
-def test_predict_scores_uniform_map():
-    model, norm = trained_toy_model()
-    game_map = flat_map(12, 12)
-    scores = predict_scores(model, norm, game_map, player=0)
-    assert len(scores) == 8 * 8  # interior centers of a 12x12 map
-    assert len(set(scores.values())) == 1
-
-
-def test_predict_scores_locality():
-    model, norm = trained_toy_model()
-    game_map = flat_map(14, 14)
-    before = predict_scores(model, norm, game_map, player=0)
-    edited = game_map.copy()  # a scanned map's static layers stay fixed; edit a fresh copy
-    edited.tile(7, 7).special = SpecialKind.BULL
-    after = predict_scores(model, norm, edited, player=0)
-    changed = {c for c in before if before[c] != after[c]}
-    # only clusters containing (7,7) can change
-    containing = {c for c in before if max(abs(c[0] - 7), abs(c[1] - 7)) <= 2 and not (abs(c[0] - 7) == 2 and abs(c[1] - 7) == 2)}
-    assert changed <= containing
-    assert changed  # the perturbation is visible
 
 
 # -- model file --------------------------------------------------------------------

@@ -11,10 +11,8 @@ from settlebench.rulekb import (
     default_kb,
     explain,
     fixed_chooser,
-    load_kb,
     match_rules,
     max_points_chooser,
-    save_kb,
     score_cluster,
     trace_from_dict,
     trace_to_dict,
@@ -181,7 +179,7 @@ def test_scaling_preserves_ranking():
         "whale_presence": (0, 1, 3, 6),
     }
     base = KnowledgeBase(halved)
-    scaled = base.scaled(3)
+    scaled = KnowledgeBase({f: tuple(3 * p for p in points) for f, points in halved.items()})
 
     def ranking(kb):
         scores = [(score_cluster(kb, game_map, c, chooser)[0], c) for c in centers]
@@ -218,13 +216,6 @@ def test_explain_worked_example():
 def test_trace_dict_round_trip():
     _, trace = score_cluster(KB, *fig_style_site(), max_points_chooser)
     assert trace_from_dict(trace_to_dict(trace)) == trace
-
-
-def test_kb_save_load_round_trip(tmp_path):
-    path = tmp_path / "kb.txt"
-    save_kb(KB, path)
-    loaded = load_kb(path)
-    assert loaded.families == KB.families
 
 
 def test_default_table_matches_shipped_doc():

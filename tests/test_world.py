@@ -161,16 +161,11 @@ def test_decode_rejects_invariant_violations():
         decode_map("\n".join(lines))
 
 
-def test_ownership_layer_round_trips():
-    game_map = flat_map(12, 12)
-    game_map.tile(3, 4).owner = 0
-    game_map.tile(5, 5).owner = 1
-    text = encode_map(game_map)
-    assert len([b for b in text.split("\n\n") if b.strip()]) == 4
-    decoded = decode_map(text)
-    assert decoded.tile(3, 4).owner == 0
-    assert decoded.tile(5, 5).owner == 1
-    assert decoded == game_map
+def test_fourth_layer_is_rejected():
+    # ownership is game state, not a map layer: a former owner block is malformed
+    text = encode_map(flat_map(12, 12)) + "\n" + "\n".join("." * 3 + "0" + "." * 8 for _ in range(12)) + "\n"
+    with pytest.raises(MapFormatError):
+        decode_map(text)
 
 
 def test_pristine_map_has_three_layers(default_map):
