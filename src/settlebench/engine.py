@@ -138,6 +138,8 @@ class GameConfig:
     def __post_init__(self):
         if self.turn_limit < 1:
             raise ValueError("turn_limit must be >= 1")
+        if self.min_city_distance < 1:
+            raise ValueError("min_city_distance must be >= 1: a city center holds one city")
         if abs(sum(self.trade_split) - 1.0) > 1e-9 or any(r < 0 for r in self.trade_split):
             raise ValueError("trade_split rates must be non-negative and sum to 1")
 
@@ -280,10 +282,13 @@ def new_game(game_map: GameMap, config: GameConfig, seed: int, num_players: int 
         worked_by=[None] * len(game_map.tiles),
     )
     rules = config.ruleset
+    by_kind: dict[tuple, tuple[YieldTriple, int]] = {}  # (terrain, special, river) -> (yield, weight)
     for t in game_map.tiles:
-        y = tile_yield(t, rules)
-        state.yields[(t.x, t.y)] = y
-        state.weights[(t.x, t.y)] = y.food + 2 * y.production + 2 * y.trade
+        kind = (t.terrain, t.special, t.river)
+        if kind not in by_kind:
+            y = tile_yield(t, rules)
+            by_kind[kind] = (y, y.food + 2 * y.production + 2 * y.trade)
+        state.yields[(t.x, t.y)], state.weights[(t.x, t.y)] = by_kind[kind]
     return state
 
 
@@ -419,6 +424,8 @@ def _eligible_tiles(state: GameState, city: City) -> list[tuple[int, int]]:
 
 def _settler_step(state: GameState, settler: Settler) -> None:
     tx, ty = settler.target  # type: ignore[misc]
+    width, height = state.map.width, state.map.height
+    buildable = cluster_table(state.map).buildable
     best = None
     current = city_distance((settler.x, settler.y), (tx, ty))
     for dy in (-1, 0, 1):
@@ -426,9 +433,7 @@ def _settler_step(state: GameState, settler: Settler) -> None:
             if dx == 0 and dy == 0:
                 continue
             nx, ny = settler.x + dx, settler.y + dy
-            if not state.map.in_bounds(nx, ny):
-                continue
-            if not state.map.tile(nx, ny).terrain.buildable:
+            if not (0 <= nx < width and 0 <= ny < height and buildable[ny * width + nx]):
                 continue
             d = city_distance((nx, ny), (tx, ty))
             if d >= current:

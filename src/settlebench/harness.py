@@ -464,6 +464,8 @@ def persist_experiment(result: ExperimentResult, out_dir: str, game_map: GameMap
 
 
 def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], dict]:
+    """(metrics, logs, raw config) of a persisted run; ValueError unless every
+    metrics row has its episode log with the same final TGO."""
     with open(os.path.join(path, "config.json")) as fh:
         config = json.load(fh)
     window = config.get("metrics_window") or default_window(config["episodes"])
@@ -474,6 +476,11 @@ def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], dict]:
         for name in sorted(os.listdir(log_dir))
         if name.endswith(".jsonl")
     ]
+    if len(logs) != len(metrics.tgo):
+        raise ValueError(f"{path}: {len(logs)} episode logs but {len(metrics.tgo)} metrics rows")
+    for i, (log, tgo) in enumerate(zip(logs, metrics.tgo)):
+        if log.final_tgo != tgo:
+            raise ValueError(f"{path}: episode {i} log has final_tgo {log.final_tgo}, metrics row {tgo}")
     return metrics, logs, config
 
 

@@ -3,7 +3,8 @@
 Architecture: min-max-normalized inputs, one hidden layer of 95 ReLU
 units with inverted dropout (p=0.5) by default, a single linear output
 unit, MSE loss, ADAM updates. Weights start from N(0, 0.0005); biases
-start at zero. Deeper stacks are supported for grid search.
+start at zero. Deeper stacks are supported for grid search. A model's
+parameters are one contiguous float64 vector with per-layer views.
 """
 
 from __future__ import annotations
@@ -49,14 +50,43 @@ class MlpConfig:
             raise ValueError("learning rate must be positive")
 
 
+def flat_size(config: MlpConfig) -> int:
+    """Number of parameters: every layer's weights plus its biases."""
+    dims = (config.input_dim, *config.hidden, 1)
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:]))
+
+
+def layer_views(flat: np.ndarray, config: MlpConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(weights, biases): per-layer views into one flat float64 vector laid out
+    W0, b0, W1, b1, ...; each W is (d_in, d_out) row-major, each b is (d_out,)."""
+    if flat.dtype != np.float64 or flat.shape != (flat_size(config),):
+        raise ValueError(f"parameter vector {flat.dtype}{flat.shape} does not fit layers of {config}")
+    dims = (config.input_dim, *config.hidden, 1)
+    weights, biases, at = [], [], 0
+    for d_in, d_out in zip(dims, dims[1:]):
+        weights.append(flat[at : at + d_in * d_out].reshape(d_in, d_out))
+        at += d_in * d_out
+        biases.append(flat[at : at + d_out])
+        at += d_out
+    return tuple(weights), tuple(biases)
+
+
 @dataclass
 class MlpModel:
-    weights: list[np.ndarray]  # (d_in, d_out) per layer
-    biases: list[np.ndarray]
+    """All parameters in `flat`; `weights` and `biases` are tuples of views
+    into it, so writing through a view updates the model, and replacing a
+    layer's array (item assignment on the tuple) raises TypeError."""
+
+    flat: np.ndarray
     config: MlpConfig
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # (d_in, d_out) per layer
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = layer_views(self.flat, self.config)
 
     def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.config)
+        return MlpModel(self.flat.copy(), self.config)
 
 
 @dataclass
@@ -68,16 +98,17 @@ class TrainReport:
 
 def init_model(config: MlpConfig, seed: int | None = None) -> MlpModel:
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    dims = (config.input_dim, *config.hidden, 1)
-    weights = [rng.normal(0.0, config.init_std, size=(dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return MlpModel(weights=weights, biases=biases, config=config)
+    model = MlpModel(np.zeros(flat_size(config)), config)
+    for w in model.weights:
+        w[...] = rng.normal(0.0, config.init_std, size=w.shape)
+    return model
 
 
 def forward(model: MlpModel, x: np.ndarray, training: bool = False, rng=None):
     """Returns (predictions, cache). Dropout only in training mode, inverted
     scaling (survivors divided by keep probability), so inference needs no
-    rescaling."""
+    rescaling. The cache holds each layer's input, the pre-activations, the
+    dropout masks and the output column, for `backward`."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x.reshape(1, -1) if single else x
@@ -91,19 +122,18 @@ def forward(model: MlpModel, x: np.ndarray, training: bool = False, rng=None):
     n_layers = len(model.weights)
     for i in range(n_layers):
         cache["inputs"].append(a)
-        z = a @ model.weights[i] + model.biases[i]
+        z = a @ model.weights[i]
+        z += model.biases[i]
         if i < n_layers - 1:
             cache["pre_act"].append(z)
             a = np.maximum(z, 0.0)
             if training and p > 0:
                 mask = (rng.random(a.shape) >= p) / (1.0 - p)
-                a = a * mask
+                a *= mask
             else:
                 mask = None
             cache["masks"].append(mask)
-        else:
-            a = z
-    out = a[:, 0]
+    out = cache["out"] = z[:, 0]
     return (float(out[0]) if single else out), cache
 
 
@@ -122,73 +152,86 @@ def mse(predictions, targets) -> float:
 
 @dataclass
 class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """Gradients in the model's layout: `weights` and `biases` are views into `flat`."""
+
+    flat: np.ndarray
+    config: MlpConfig
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = layer_views(self.flat, self.config)
 
 
-def backward(model: MlpModel, cache: dict, targets: np.ndarray) -> Gradients:
-    """Gradients of the batch MSE w.r.t. every weight and bias."""
+def backward(model: MlpModel, cache: dict, targets: np.ndarray, out: Gradients | None = None) -> Gradients:
+    """Gradients of the batch MSE w.r.t. every weight and bias.
+
+    The residual comes from the output `forward` left in the cache, and each
+    layer's gradient is written straight into its view of the flat vector:
+    that of `out` when given (overwritten whole, so a training loop can reuse
+    one), else a new one.
+    """
     targets = np.asarray(targets, dtype=float).reshape(-1)
-    x = cache["x"]
-    n = x.shape[0]
+    n = cache["x"].shape[0]
     if targets.shape[0] != n:
         raise ValueError("targets do not match the cached batch")
 
-    # recompute the output from the cache to get the residual
-    last_in = cache["inputs"][-1]
-    out = (last_in @ model.weights[-1] + model.biases[-1])[:, 0]
-    delta = (2.0 * (out - targets) / n).reshape(-1, 1)
-
-    grad_w = [np.zeros_like(w) for w in model.weights]
-    grad_b = [np.zeros_like(b) for b in model.biases]
+    delta = (2.0 * (cache["out"] - targets) / n).reshape(-1, 1)
+    grads = Gradients(np.empty_like(model.flat), model.config) if out is None else out
     for i in reversed(range(len(model.weights))):
-        a_prev = cache["inputs"][i]
-        grad_w[i] = a_prev.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(cache["inputs"][i].T, delta, out=grads.weights[i])
+        np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].T
             mask = cache["masks"][i - 1]
             if mask is not None:
-                delta = delta * mask
-            delta = delta * (cache["pre_act"][i - 1] > 0)
-    return Gradients(weights=grad_w, biases=grad_b)
+                delta *= mask
+            delta *= cache["pre_act"][i - 1] > 0
+    return grads
 
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """First and second moments in the model's flat layout, plus two scratch
+    vectors so a step allocates nothing."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @classmethod
     def for_model(cls, model: MlpModel) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in model.weights],
-            v_w=[np.zeros_like(w) for w in model.weights],
-            m_b=[np.zeros_like(b) for b in model.biases],
-            v_b=[np.zeros_like(b) for b in model.biases],
-        )
+        flat = model.flat
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), scratch=(np.empty_like(flat), np.empty_like(flat)))
 
 
 def adam_step(model: MlpModel, grads: Gradients, state: AdamState, t: int) -> MlpModel:
-    """Standard ADAM update with bias correction; mutates model and state."""
+    """Standard ADAM update with bias correction over the whole parameter
+    vector at once, in place; mutates model and state.
+
+    Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= (lr * (m / (1-b1^t))) / (sqrt(v / (1-b2^t)) + eps).
+    """
     if t < 1:
         raise ValueError("ADAM step counter starts at 1")
     cfg = model.config
     b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.learning_rate
-    for i in range(len(model.weights)):
-        for param, grad, m, v in (
-            (model.weights[i], grads.weights[i], state.m_w[i], state.v_w[i]),
-            (model.biases[i], grads.biases[i], state.m_b[i], state.v_b[i]),
-        ):
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad**2
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    step, denom = state.scratch
+    m *= b1
+    np.multiply(g, 1 - b1, out=step)
+    m += step
+    v *= b2
+    np.multiply(g, g, out=step)
+    step *= 1 - b2
+    v += step
+    np.divide(m, 1 - b1**t, out=step)
+    step *= lr
+    np.divide(v, 1 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    model.flat -= step
     return model
 
 
@@ -209,6 +252,7 @@ def train(dataset: Dataset, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
     rng = np.random.default_rng(config.seed)
     model = init_model(config)
     state = AdamState.for_model(model)
+    grads = Gradients(np.empty_like(model.flat), config)
     report = TrainReport()
     t = 0
     best_loss, stale = np.inf, 0
@@ -217,9 +261,10 @@ def train(dataset: Dataset, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
+            yb = y[idx]
             out, cache = forward(model, x[idx], training=True, rng=rng)
-            losses.append(mse(out, y[idx]) * len(idx))
-            grads = backward(model, cache, y[idx])
+            losses.append(mse(out, yb) * len(idx))
+            backward(model, cache, yb, out=grads)
             t += 1
             adam_step(model, grads, state, t)
         epoch_loss = float(sum(losses) / n)
@@ -310,9 +355,11 @@ def load_model(path) -> tuple[MlpModel, MinMaxNormalization]:
     cfg_dict = dict(payload["config"])
     cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
     config = MlpConfig(**cfg_dict)
-    model = MlpModel(
-        weights=[np.asarray(w, dtype=float) for w in payload["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in payload["biases"]],
-        config=config,
-    )
+    model = MlpModel(np.zeros(flat_size(config)), config)
+    views = (*model.weights, *model.biases)
+    arrays = [np.asarray(a, dtype=float) for a in (*payload["weights"], *payload["biases"])]
+    if len(arrays) != len(views) or any(a.shape != view.shape for a, view in zip(arrays, views)):
+        raise ValueError(f"{path}: layer shapes do not match the model config")
+    for view, a in zip(views, arrays):
+        view[...] = a
     return model, MinMaxNormalization.from_dict(payload["normalization"])

@@ -269,6 +269,7 @@ class ClusterTable:
     static: np.ndarray  # (n, 58) float, STATIC_COLUMNS order
     rule_mask: np.ndarray  # (n, 14) bool, rule families in rulekb.FAMILY_IDS order
     sites: np.ndarray  # (height, width) bool: buildable center, cluster in bounds
+    buildable: tuple[bool, ...]  # per tile, row-major: land a settler may walk on
 
     def rows(self, centers) -> np.ndarray:
         """Row index of each center; ValueError if a cluster leaves the map."""
@@ -296,7 +297,12 @@ def cluster_table(game_map: GameMap) -> ClusterTable:
         # a center one-hot is set exactly on buildable centers with in-bounds clusters
         sites = static[..., : len(BUILDABLE_TERRAINS)].any(axis=2)
         static = static.reshape(len(game_map.tiles), -1)
-        game_map._cluster_table = ClusterTable(static=static, rule_mask=family_mask(static), sites=sites)
+        game_map._cluster_table = ClusterTable(
+            static=static,
+            rule_mask=family_mask(static),
+            sites=sites,
+            buildable=tuple(t.terrain.buildable for t in game_map.tiles),
+        )
     return game_map._cluster_table
 
 

@@ -2,12 +2,18 @@
 
 `bench/tracing.py` wraps library functions found by name; deleting or
 renaming one breaks `bench/run.py --trace 1`. The benchmark's own tests
-live under `bench/`, outside the default test paths, so this check runs
+live under `bench/`, outside the default test paths, so these checks run
 with the library's tests.
 """
 
 import importlib.util
+import math
 from pathlib import Path
+
+import numpy as np
+
+from settlebench import mlp
+from settlebench.features import Dataset, DatasetEntry, minmax_fit
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,3 +38,22 @@ def test_every_traced_path_resolves():
         if not callable(original) or not sites:
             unresolved.append(f"{module_name}.{path}")
     assert unresolved == []
+
+
+def test_training_steps_pass_through_the_traced_boundaries():
+    """One forward, backward and adam_step per batch, each through the module
+    global the tracer patches, so the bench's mlp.* figures are per step."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(0)
+    rows, batch, epochs = 22, 4, 3
+    dataset = Dataset(entries=[DatasetEntry(features=tuple(rng.random(3)), label=float(v)) for v in rng.random(rows)])
+    dataset.normalization = minmax_fit(dataset)
+    config = mlp.MlpConfig(input_dim=3, hidden=(5,), epochs=epochs, batch_size=batch)
+    untraced, _ = mlp.train(dataset, config)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        traced, _ = mlp.train(dataset, config)
+    steps = epochs * math.ceil(rows / batch)
+    calls = [tracer.calls(f"mlp.{name}") for name in ("train", "forward", "backward", "adam_step")]
+    assert calls == [1, steps, steps, steps]
+    assert traced.flat.tobytes() == untraced.flat.tobytes()
+    assert mlp.forward.__name__ == "forward" and not hasattr(mlp.forward, "__wrapped__")

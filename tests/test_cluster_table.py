@@ -64,7 +64,7 @@ def centers_of(game_map):
 def mid_game(draw):
     """A generated map with cities of players 0 and 1 and a few stray claims."""
     game_map = generate_map(MAPGEN, draw(st.integers(0, 10_000)))
-    config = GameConfig(turn_limit=10, min_city_distance=draw(st.integers(0, 4)))
+    config = GameConfig(turn_limit=10, min_city_distance=draw(st.integers(1, 4)))
     state = new_game(game_map, config, seed=0, num_players=2)
     rnd = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(0, 6))):

@@ -152,6 +152,22 @@ def test_found_city_distance():
     found_city(state, 0, (7, 5))  # distance 2 is allowed
 
 
+def test_min_city_distance_must_be_positive():
+    # at 0 a second city could be founded on an existing center, and both
+    # cities would then work that tile and count its yield twice
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="min_city_distance"):
+            GameConfig(min_city_distance=bad)
+    state = grass_state(min_city_distance=1)
+    add_settler(state, 0, (5, 5))
+    found_city(state, 0, (5, 5))
+    add_settler(state, 0, (5, 5))
+    with pytest.raises(ValueError):
+        found_city(state, 0, (5, 5))
+    add_settler(state, 0, (6, 5))
+    found_city(state, 0, (6, 5))  # distance 1 is allowed at min_city_distance 1
+
+
 def test_found_city_needs_settler():
     state = grass_state()
     with pytest.raises(ValueError):
@@ -442,3 +458,17 @@ def test_settler_blocked_by_water_idles():
     # greedy walk cannot cross the channel; the settler waits at the shore
     assert settler.x <= 6
     assert not state.players[0].cities
+
+
+def test_settler_on_the_map_edge_stays_on_the_map():
+    # from (0, 0) toward (2, 10) the step to (-1, 1) would be as close as
+    # (0, 1) and sort first; it must not wrap onto the row above
+    state = grass_state(turn_limit=10)
+    settler = add_settler(state, 0, (0, 0))
+    set_settler_target(state, settler, (2, 10))
+    step_turn(state)
+    assert (settler.x, settler.y) == (0, 1)
+    settler = add_settler(state, 0, (11, 0))
+    set_settler_target(state, settler, (9, 10))
+    step_turn(state)
+    assert (settler.x, settler.y) == (10, 1)

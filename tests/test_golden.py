@@ -2,7 +2,8 @@
 
 One small kb run and one small nn run on the seed-11 default map are
 persisted, and every episode log, `metrics.csv` and `value_table.txt` is
-hashed with sha256. A change to the simulator, the evaluators or the log
+hashed with sha256. The regressor the nn run plays is pinned too: its
+parameter bytes, epoch losses and fold MSEs. A change to the simulator, the evaluators or the log
 format that is meant to alter these bytes updates the digests below in
 the same change; any other difference is a regression. The runs include
 floating-point k-means fitting, MLP training and prediction, so the
@@ -12,6 +13,7 @@ digests hold for one numpy and BLAS build.
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from settlebench import engine, harness, mlp
@@ -29,6 +31,7 @@ KB_DIGESTS = {
     "metrics.csv": "5d59d2f82cd23f891ddbd25bf3eed5379617a686538da6df190c2c03a4fc4277",
     "value_table.txt": "a579816872f738339b20fe68d01aff0e8ec7a39d994b5a9b2223015964591750",
 }
+MODEL_DIGEST = "24a692fee59860106708998c0ef015aacbe3e9d3709fee30810333b84bf558e5"
 NN_DIGESTS = {
     "logs/episode_00000.jsonl": "882cf9e00e34b3e0bdf75f79903815b46c4fe2fecb2ad9f7236301b4fbecc494",
     "logs/episode_00001.jsonl": "6aab8d0ade5505322eef9623789439e98d019058d36cf371dfae1db02fc05c29",
@@ -66,9 +69,21 @@ def test_kb_run_is_byte_identical(tmp_path, seed_map):
     assert run_digests(tmp_path) == KB_DIGESTS
 
 
+def model_digest(model, report) -> str:
+    """sha256 over W0, b0, W1, b1, ... bytes, then epoch losses and fold MSEs."""
+    h = hashlib.sha256()
+    for w, b in zip(model.weights, model.biases):
+        h.update(w.tobytes())
+        h.update(b.tobytes())
+    h.update(np.asarray(report.epoch_losses, dtype=float).tobytes())
+    h.update(np.asarray(report.fold_mses, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def test_nn_run_is_byte_identical(tmp_path, seed_map):
     corpus, _ = harness.bootstrap_corpus(GAME, MapGenConfig(), SEED, episodes=20, game_map=seed_map)
-    model, norm, _ = harness.train_nn_from_logs(corpus, mlp.MlpConfig(epochs=15, batch_size=8), folds=2)
+    model, norm, report = harness.train_nn_from_logs(corpus, mlp.MlpConfig(epochs=15, batch_size=8), folds=2)
+    assert model_digest(model, report) == MODEL_DIGEST
     config = ExperimentConfig(evaluator="nn", episodes=3, base_seed=SEED, game=GAME)
     run_experiment(config, game_map=seed_map, nn=(model, norm), out_dir=str(tmp_path))
     assert run_digests(tmp_path) == NN_DIGESTS

@@ -253,6 +253,24 @@ def test_run_dir_persists_everything(tmp_path):
     assert (tmp_path / "run" / "value_table.txt").exists()
 
 
+def test_run_dir_rejects_a_missing_log(tmp_path):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
+    (run / "logs" / "episode_00002.jsonl").unlink()
+    with pytest.raises(ValueError, match="2 episode logs but 3 metrics rows"):
+        load_run_dir(str(run))
+
+
+def test_run_dir_rejects_a_log_that_disagrees_with_its_metrics_row(tmp_path):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
+    metrics = read_metrics_csv(run / "metrics.csv")
+    metrics.tgo[1] += 1
+    export_metrics_csv(metrics, run / "metrics.csv")
+    with pytest.raises(ValueError, match="episode 1 log has final_tgo"):
+        load_run_dir(str(run))
+
+
 # -- comparison -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from settlebench.features import Dataset, DatasetEntry, minmax_fit
 from settlebench.mlp import (
     AdamState,
     Gradients,
+    layer_views,
     MlpConfig,
     MlpModel,
     adam_step,
@@ -63,6 +65,51 @@ def test_init_sample_std_near_config():
     assert 0.0004 <= sample_std <= 0.0006  # within 20%
 
 
+# -- flat parameter layout ----------------------------------------------------------
+
+
+def test_weights_and_biases_are_views_of_one_vector():
+    cfg = MlpConfig(input_dim=3, hidden=(4, 2))
+    model = init_model(cfg)
+    assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+    layers = [a for w, b in zip(model.weights, model.biases) for a in (w, b)]
+    assert [a.shape for a in layers] == [(3, 4), (4,), (4, 2), (2,), (2, 1), (1,)]
+    assert all(np.shares_memory(a, model.flat) for a in layers)
+    model.flat[:] = np.arange(model.flat.size)  # layout W0, b0, W1, b1, W2, b2
+    assert np.array_equal(np.concatenate([a.ravel() for a in layers]), np.arange(model.flat.size))
+    assert model.weights[0][1, 0] == 4 and model.biases[0][0] == 12 and model.biases[2][0] == 28
+    model.weights[1][0, 1] = -1.0
+    assert model.flat[17] == -1.0
+
+
+def test_copy_is_independent():
+    model = init_model(small_config(seed=2))
+    clone = model.copy()
+    assert np.array_equal(clone.flat, model.flat) and not np.shares_memory(clone.flat, model.flat)
+    before = model.flat.copy()
+    clone.weights[0][0, 0] += 1.0
+    clone.biases[-1][0] = 5.0
+    assert np.array_equal(model.flat, before)
+    assert clone.flat[0] == before[0] + 1.0 and clone.flat[-1] == 5.0
+
+
+def test_replacing_a_layer_fails_loudly():
+    model = init_model(small_config())
+    with pytest.raises(TypeError):
+        model.weights[0] = np.zeros((5, 4))
+    with pytest.raises(TypeError):
+        model.biases[0] = np.zeros(4)
+
+
+def test_layer_views_reject_a_vector_of_another_size_or_dtype():
+    cfg = small_config()  # 5*4 + 4 + 4*1 + 1 parameters
+    assert [w.shape for w in layer_views(np.zeros(29), cfg)[0]] == [(5, 4), (4, 1)]
+    with pytest.raises(ValueError):
+        layer_views(np.zeros(28), cfg)
+    with pytest.raises(ValueError):
+        layer_views(np.zeros(29, dtype=np.float32), cfg)
+
+
 # -- forward ----------------------------------------------------------------------
 
 
@@ -83,10 +130,10 @@ def test_forward_dropout_zero_matches_inference():
 def test_forward_hand_computed_2_2_1():
     cfg = MlpConfig(input_dim=2, hidden=(2,), dropout=0.0)
     model = init_model(cfg)
-    model.weights[0] = np.array([[0.1, -0.2], [0.3, 0.4]])
-    model.biases[0] = np.array([0.01, -0.02])
-    model.weights[1] = np.array([[0.5], [-0.6]])
-    model.biases[1] = np.array([0.1])
+    model.weights[0][...] = np.array([[0.1, -0.2], [0.3, 0.4]])
+    model.biases[0][...] = np.array([0.01, -0.02])
+    model.weights[1][...] = np.array([[0.5], [-0.6]])
+    model.biases[1][...] = np.array([0.1])
     out, _ = forward(model, np.array([1.0, 2.0]))
     # z1 = (0.71, 0.58); relu passthrough; 0.71*0.5 - 0.58*0.6 + 0.1
     assert out == pytest.approx(0.107, abs=1e-12)
@@ -102,8 +149,8 @@ def test_dropout_expectation_matches_inference():
     cfg = MlpConfig(input_dim=6, hidden=(40,), dropout=0.5, seed=1)
     model = init_model(cfg, seed=9)
     # beef up the weights so activations are far from zero
-    model.weights[0] = model.weights[0] * 1000 + 0.05
-    model.weights[1] = model.weights[1] * 1000 + 0.05
+    model.weights[0][...] = model.weights[0] * 1000 + 0.05
+    model.weights[1][...] = model.weights[1] * 1000 + 0.05
     x = np.abs(np.random.default_rng(2).random(6)) + 0.5
     infer, _ = forward(model, x, training=False)
     rng = np.random.default_rng(42)
@@ -183,14 +230,19 @@ def test_gradients_match_finite_differences():
 def scalar_model(lr=0.002) -> MlpModel:
     cfg = MlpConfig(input_dim=1, hidden=(), learning_rate=lr, dropout=0.0)
     model = init_model(cfg)
-    model.weights[0] = np.array([[1.0]])
+    model.weights[0][...] = np.array([[1.0]])
     return model
+
+
+def scalar_grads(model: MlpModel, g: float) -> Gradients:
+    """Gradient g on the one weight, zero on the bias (flat layout W0, b0)."""
+    return Gradients(np.array([g, 0.0]), model.config)
 
 
 def test_adam_first_step_is_signed_lr():
     model = scalar_model()
     state = AdamState.for_model(model)
-    grads = Gradients(weights=[np.array([[0.37]])], biases=[np.zeros(1)])
+    grads = scalar_grads(model, 0.37)
     adam_step(model, grads, state, t=1)
     # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr * sign(g)
     assert model.weights[0][0, 0] == pytest.approx(1.0 - 0.002, rel=1e-4)
@@ -199,7 +251,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_gradient_no_change():
     model = scalar_model()
     state = AdamState.for_model(model)
-    grads = Gradients(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    grads = scalar_grads(model, 0.0)
     adam_step(model, grads, state, t=1)
     assert model.weights[0][0, 0] == 1.0
 
@@ -216,11 +268,11 @@ def test_adam_three_steps_match_manual_trace():
         v = b2 * v + (1 - b2) * g * g
         w -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
     for t, g in enumerate(gs, start=1):
-        adam_step(model, Gradients(weights=[np.array([[g]])], biases=[np.zeros(1)]), state, t=t)
+        adam_step(model, scalar_grads(model, g), state, t=t)
     assert model.weights[0][0, 0] == pytest.approx(w, abs=1e-12)
 
     with pytest.raises(ValueError):
-        adam_step(model, Gradients(weights=[np.zeros((1, 1))], biases=[np.zeros(1)]), state, t=0)
+        adam_step(model, scalar_grads(model, 0.0), state, t=0)
 
 
 # -- training ---------------------------------------------------------------------
@@ -347,6 +399,7 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.config == model.config
     for a, b in zip(loaded.weights, model.weights):
         assert np.array_equal(a, b)  # bit-exact text round trip
+    assert loaded.flat.tobytes() == model.flat.tobytes()
     assert np.array_equal(norm.feature_min, ds.normalization.feature_min)
     x = np.random.default_rng(0).random(60)
     assert predict(loaded, x) == predict(model, x)
@@ -354,3 +407,16 @@ def test_model_file_round_trip(tmp_path):
     with pytest.raises(ValueError):
         (tmp_path / "junk.json").write_text("{}")
         load_model(tmp_path / "junk.json")
+
+
+def test_model_file_with_mismatched_layers_is_rejected(tmp_path):
+    ds = linear_dataset(n=80, d=60, seed=2)
+    model, _ = train(ds, MlpConfig(input_dim=60, hidden=(6,), epochs=1, batch_size=8, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, ds.normalization, path)
+    payload = json.loads(path.read_text())
+    payload["biases"][0] = payload["biases"][0][:-1]
+    payload["weights"][1] = payload["weights"][1] + [[0.0]]  # same parameter count, wrong shapes
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="layer shapes"):
+        load_model(path)
