@@ -20,6 +20,7 @@ the placement choice is the only evaluator-dependent behaviour.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -596,6 +597,11 @@ class EpisodeLog:
     def foundings(self) -> list[FoundingRecord]:
         return [f for tr in self.turns for f in tr.foundings]
 
+    def decoded_map(self) -> GameMap:
+        """The map the episode was played on, shared with the last log asked
+        for it when both hold the same map text; do not edit it."""
+        return _decoded_map(self.map_text)
+
     def city_points(self, city_id: int) -> list[OutputPoints]:
         """Per-turn output of one city, in turn order."""
         return [
@@ -628,7 +634,7 @@ def run_episode(
     """Run one full game; the log replays to the same final TGO.
 
     A given `game_map` is played as is: games never write to the map, so
-    every episode on it shares its cluster table.
+    every episode on it shares its cluster table and its encoded text.
     """
     episode_map = game_map if game_map is not None else generate_map(mapgen or MapGenConfig(), seed)
     map_text = encode_map(episode_map)
@@ -665,10 +671,17 @@ class ReplayAgent:
                         set_settler_target(state, settler, tuple(target))
 
 
+@functools.lru_cache(maxsize=1)
+def _decoded_map(map_text: str) -> GameMap:
+    """One entry: consecutive logs of a fixed-map run share one decoded map
+    and its cluster table, which is safe because games never write to the
+    map. Logs of a fresh map per episode just miss."""
+    return decode_map(map_text)
+
+
 def replay_episode(log: EpisodeLog) -> int:
     """Re-run the logged episode from its seed and decisions; returns final TGO."""
-    episode_map = decode_map(log.map_text)
-    state = new_game(episode_map, log.config, log.seed)
+    state = new_game(log.decoded_map(), log.config, log.seed)
     place_initial_settlers(state, log.player)
     agent = ReplayAgent(log)
     while not state.finished:
@@ -680,22 +693,19 @@ def replay_episode(log: EpisodeLog) -> int:
 
 
 def config_to_dict(config: GameConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["ruleset"] = {
-        "terrain_yields": {
-            k.value: [y.food, y.production, y.trade] for k, y in config.ruleset.terrain_yields.items()
-        },
-        "special_bonuses": {
-            k.value: [y.food, y.production, y.trade] for k, y in config.ruleset.special_bonuses.items()
-        },
-        "river_trade_bonus": config.ruleset.river_trade_bonus,
-        "center_bonus": [
-            config.ruleset.center_bonus.food,
-            config.ruleset.center_bonus.production,
-            config.ruleset.center_bonus.trade,
-        ],
+    """JSON-ready fields; tuples are left for the encoder to write as arrays."""
+    rules = config.ruleset
+
+    def triple(y: YieldTriple) -> list[int]:
+        return [y.food, y.production, y.trade]
+
+    ruleset = {
+        "terrain_yields": {k.value: triple(y) for k, y in rules.terrain_yields.items()},
+        "special_bonuses": {k.value: triple(y) for k, y in rules.special_bonuses.items()},
+        "river_trade_bonus": rules.river_trade_bonus,
+        "center_bonus": triple(rules.center_bonus),
     }
-    return d
+    return {**vars(config), "ruleset": ruleset}
 
 
 def config_from_dict(d: dict) -> GameConfig:
@@ -713,54 +723,62 @@ def config_from_dict(d: dict) -> GameConfig:
     return GameConfig(ruleset=ruleset, **d)
 
 
-def _points_to_dict(p: OutputPoints) -> dict:
-    return dataclasses.asdict(p)
+# json.dumps(obj, sort_keys=True) without building a new encoder per record
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+_POINTS_FIELDS = tuple(f.name for f in dataclasses.fields(OutputPoints))
+_FOUNDING_FIELDS = tuple(f.name for f in dataclasses.fields(FoundingRecord))
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:
-    """One JSON record per line: header, one record per turn, footer."""
-    with open(path, "w") as fh:
-        header = {
-            "kind": "header",
-            "seed": log.seed,
-            "map": log.map_text,
-            "evaluator": log.evaluator,
-            "player": log.player,
-            "config": config_to_dict(log.config),
+    """One JSON record per line: header, one record per turn, footer.
+
+    Records are built straight from the fields (tuples encode as arrays):
+    nothing is copied for the encoder, and no record's `__dict__` is made.
+    """
+    header = {
+        "kind": "header",
+        "seed": log.seed,
+        "map": log.map_text,
+        "evaluator": log.evaluator,
+        "player": log.player,
+        "config": config_to_dict(log.config),
+    }
+    lines = [_encode_record(header)]
+    for tr in log.turns:
+        rec = {
+            "kind": "turn",
+            "turn": tr.turn,
+            "cities": [
+                {
+                    "city_id": cr.city_id,
+                    "player": cr.player,
+                    "x": cr.x,
+                    "y": cr.y,
+                    "citizens": cr.citizens,
+                    "worked": cr.worked,
+                    "points": {name: getattr(cr.points, name) for name in _POINTS_FIELDS},
+                }
+                for cr in tr.cities
+            ],
+            "targets": tr.targets,
+            "foundings": [{name: getattr(f, name) for name in _FOUNDING_FIELDS} for f in tr.foundings],
         }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for tr in log.turns:
-            rec = {
-                "kind": "turn",
-                "turn": tr.turn,
-                "cities": [
-                    {
-                        "city_id": cr.city_id,
-                        "player": cr.player,
-                        "x": cr.x,
-                        "y": cr.y,
-                        "citizens": cr.citizens,
-                        "worked": [list(c) for c in cr.worked],
-                        "points": _points_to_dict(cr.points),
-                    }
-                    for cr in tr.cities
-                ],
-                "targets": [[sid, list(t)] for sid, t in tr.targets],
-                "foundings": [dataclasses.asdict(f) for f in tr.foundings],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        footer = {"kind": "footer", "final_tgo": log.final_tgo, "turns": len(log.turns)}
-        fh.write(json.dumps(footer, sort_keys=True) + "\n")
+        lines.append(_encode_record(rec))
+    lines.append(_encode_record({"kind": "footer", "final_tgo": log.final_tgo, "turns": len(log.turns)}))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_episode_log(path) -> EpisodeLog:
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "header" or lines[-1].get("kind") != "footer":
+        lines = [line for line in fh if line.strip()]
+    header = json.loads(lines[0]) if lines else {}
+    footer = json.loads(lines[-1]) if lines else {}
+    if header.get("kind") != "header" or footer.get("kind") != "footer":
         raise ValueError(f"{path}: not a complete episode log")
-    header, footer = lines[0], lines[-1]
     turns = []
-    for rec in lines[1:-1]:
+    # decoded one line at a time, so only the built records outlive the loop
+    for rec in map(json.loads, lines[1:-1]):
         if rec.get("kind") != "turn":
             raise ValueError(f"{path}: unexpected record kind {rec.get('kind')!r}")
         turns.append(

@@ -14,13 +14,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine, features, mlp, rl, rulekb
 from .engine import EpisodeLog, GameConfig, GameState
-from .world import GameMap, MapGenConfig, cluster_table, decode_map, encode_map, generate_map
+from .world import GameMap, MapGenConfig, cluster_table, encode_map, generate_map
 from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
 
@@ -450,17 +451,37 @@ def run_experiment(
 
 
 def persist_experiment(result: ExperimentResult, out_dir: str, game_map: GameMap | None) -> None:
-    os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(experiment_config_to_dict(result.config), fh, indent=2, sort_keys=True)
-    if game_map is not None:
-        with open(os.path.join(out_dir, "map.txt"), "w") as fh:
-            fh.write(encode_map(game_map))
-    for i, log in enumerate(result.logs):
-        engine.write_episode_log(log, os.path.join(out_dir, "logs", f"episode_{i:05d}.jsonl"))
-    export_metrics_csv(result.metrics, os.path.join(out_dir, "metrics.csv"))
-    if result.table is not None:
-        rl.save_table(result.table, os.path.join(out_dir, "value_table.txt"))
+    """Write the run directory whole: into a hidden sibling, then renamed into
+    place, so a previous run at `out_dir` is replaced, never merged with. An
+    existing `out_dir` must be an empty directory or a run (its config.json)."""
+    out_dir = os.path.abspath(out_dir)
+    if os.path.lexists(out_dir) and not (
+        os.path.isdir(out_dir)
+        and (not os.listdir(out_dir) or os.path.isfile(os.path.join(out_dir, "config.json")))
+    ):
+        raise ValueError(f"{out_dir} exists and is neither empty nor a run directory; not replacing it")
+    parent, name = os.path.split(out_dir)
+    tmp = os.path.join(parent, f".{name}.{os.getpid()}.{os.urandom(4).hex()}")
+    old = tmp + ".old"
+    try:
+        os.makedirs(os.path.join(tmp, "logs"))
+        with open(os.path.join(tmp, "config.json"), "w") as fh:
+            json.dump(experiment_config_to_dict(result.config), fh, indent=2, sort_keys=True)
+        if game_map is not None:
+            with open(os.path.join(tmp, "map.txt"), "w") as fh:
+                fh.write(encode_map(game_map))
+        for i, log in enumerate(result.logs):
+            engine.write_episode_log(log, os.path.join(tmp, "logs", f"episode_{i:05d}.jsonl"))
+        export_metrics_csv(result.metrics, os.path.join(tmp, "metrics.csv"))
+        if result.table is not None:
+            rl.save_table(result.table, os.path.join(tmp, "value_table.txt"))
+        if os.path.lexists(out_dir):
+            os.rename(out_dir, old)
+        os.rename(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], dict]:
@@ -518,7 +539,7 @@ def _terrain_distributions(logs: list[EpisodeLog], window: int) -> tuple[dict, d
     center_counts: dict[str, int] = {}
     occupied_counts: dict[str, int] = {}
     for log in tail:
-        game_map = decode_map(log.map_text)
+        game_map = log.decoded_map()
         for f in log.foundings():
             if f.player != log.player:
                 continue

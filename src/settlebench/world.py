@@ -146,9 +146,10 @@ class GameMap:
     height: int
     tiles: list[Tile]  # row-major, y*width + x
     seed: int
-    # static per-map facts, built on first use by cluster_table(); copies
-    # start without one
+    # static per-map facts, built on first use by cluster_table() and
+    # encode_map(); copies start without them
     _cluster_table: ClusterTable | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -159,7 +160,7 @@ class GameMap:
         return self.tiles[y * self.width + x]
 
     def copy(self) -> "GameMap":
-        """Independent deep copy, without the cached cluster table."""
+        """Independent deep copy, without the cached cluster table and text."""
         return GameMap(
             width=self.width,
             height=self.height,
@@ -446,24 +447,25 @@ def _grow_continents(config: MapGenConfig, rng: random.Random) -> list[list[bool
 
 
 def encode_map(game_map: GameMap) -> str:
-    """Layered text format: `W H SEED`, terrain rows, specials, rivers."""
-    lines = [f"{game_map.width} {game_map.height} {game_map.seed}"]
-    rows = range(game_map.height)
-    cols = range(game_map.width)
+    """Layered text format: `W H SEED`, terrain rows, specials, rivers.
 
-    for y in rows:
-        lines.append("".join(TERRAIN_CHARS[game_map.tile(x, y).terrain] for x in cols))
+    Built on first use and cached on the map, like its cluster table: the
+    terrain, special and river layers must not change after this call.
+    """
+    if game_map._text is None:
+        game_map._text = _encode(game_map)
+    return game_map._text
+
+
+def _encode(game_map: GameMap) -> str:
+    w = game_map.width
+    rows = [game_map.tiles[y * w : (y + 1) * w] for y in range(game_map.height)]
+    lines = [f"{w} {game_map.height} {game_map.seed}"]
+    lines += ("".join(TERRAIN_CHARS[t.terrain] for t in row) for row in rows)
     lines.append("")
-    for y in rows:
-        lines.append(
-            "".join(
-                SPECIAL_CHARS[t.special] if t.special else NONE_CHAR
-                for t in (game_map.tile(x, y) for x in cols)
-            )
-        )
+    lines += ("".join(SPECIAL_CHARS[t.special] if t.special else NONE_CHAR for t in row) for row in rows)
     lines.append("")
-    for y in rows:
-        lines.append("".join(RIVER_CHAR if game_map.tile(x, y).river else NONE_CHAR for x in cols))
+    lines += ("".join(RIVER_CHAR if t.river else NONE_CHAR for t in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

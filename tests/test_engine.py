@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import flat_map
+from settlebench import engine, world
 from settlebench.engine import (
     City,
     GameConfig,
@@ -410,7 +411,36 @@ def test_episodes_share_one_map_and_its_table():
     assert first == second
     assert first.foundings()  # the games did found cities on the shared map
     assert cluster_table(game_map) is table
-    assert encode_map(game_map) == pristine
+    assert first.map_text is pristine  # encoded once, on first use
+    # a fresh encoding of the tiles, not the cached text
+    assert encode_map(game_map.copy()) == pristine
+
+
+def test_replays_of_one_map_share_one_decoded_map(monkeypatch):
+    game_map = generate_map(MapGenConfig(), seed=11)
+    config = GameConfig(turn_limit=30)
+    logs = [run_episode(WeightAgent(), config, seed, game_map=game_map) for seed in (1, 2, 3)]
+    builds = []
+    static_columns = world._static_columns
+
+    def counting(m):
+        builds.append(m)
+        return static_columns(m)
+
+    monkeypatch.setattr(world, "_static_columns", counting)
+    engine._decoded_map.cache_clear()
+    assert [replay_episode(log) for log in logs] == [log.final_tgo for log in logs]
+    assert len(builds) == 1
+    assert builds[0] is not game_map and builds[0] == game_map
+
+
+def test_interleaved_replays_of_two_maps():
+    config = GameConfig(turn_limit=30)
+    a = generate_map(MapGenConfig(), seed=11)
+    b = generate_map(MapGenConfig(), seed=12)
+    logs = [run_episode(WeightAgent(), config, seed, game_map=m) for seed in (1, 2) for m in (a, b)]
+    assert logs[0].map_text != logs[1].map_text
+    assert [replay_episode(log) for log in logs] == [log.final_tgo for log in logs]
 
 
 def test_replay_reproduces_tgo():

@@ -253,6 +253,56 @@ def test_run_dir_persists_everything(tmp_path):
     assert (tmp_path / "run" / "value_table.txt").exists()
 
 
+@pytest.fixture(scope="module")
+def tiny_nn(bootstrap_corpus):
+    """A barely trained regressor: (model, normalization)."""
+    config = mlp.MlpConfig(epochs=2, batch_size=10)
+    model, norm, _ = harness.train_nn_from_logs(bootstrap_corpus[0], config, folds=2)
+    return model, norm
+
+
+def test_persist_replaces_a_previous_run_whole(tmp_path):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=6), out_dir=str(run))
+    result = run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
+    metrics, logs, _ = load_run_dir(str(run))
+    assert metrics.tgo == result.metrics.tgo
+    assert len(list((run / "logs").iterdir())) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]  # no temporary sibling left
+
+
+def test_persist_drops_files_of_the_previous_run(tmp_path, tiny_nn):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(episodes=1), out_dir=str(run))
+    assert (run / "value_table.txt").exists()
+    run_experiment(small_experiment(evaluator="nn", episodes=1), nn=tiny_nn, out_dir=str(run))
+    assert not (run / "value_table.txt").exists()
+    assert load_run_dir(str(run))[2]["evaluator"] == "nn"
+
+
+def test_persist_refuses_a_directory_that_is_not_a_run(tmp_path):
+    (tmp_path / "notes.txt").write_text("keep me")
+    with pytest.raises(ValueError, match="neither empty nor a run directory"):
+        run_experiment(small_experiment(evaluator="random", episodes=1), out_dir=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+
+@pytest.mark.parametrize("arm", ["kb", "nn"])
+def test_decision_logs_round_trip(tmp_path, arm, tiny_nn):
+    nn = game_map = None
+    if arm == "nn":
+        # all land: a barely trained model's first target is never across water
+        nn, game_map = tiny_nn, flat_map(14, 14)
+    result = run_experiment(small_experiment(evaluator=arm, episodes=2), nn=nn, game_map=game_map)
+    foundings = [f for log in result.logs for f in log.foundings()]
+    assert foundings and all(f.features for f in foundings)
+    assert all(f.trace for f in foundings) == (arm == "kb")
+    for i, log in enumerate(result.logs):
+        path = tmp_path / f"episode_{i}.jsonl"
+        engine.write_episode_log(log, path)
+        assert engine.read_episode_log(path) == log
+
+
 def test_run_dir_rejects_a_missing_log(tmp_path):
     run = tmp_path / "run"
     run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
