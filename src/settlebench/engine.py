@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import random
@@ -179,6 +180,10 @@ class City:
     food_store: int = 0
     production_store: int = 0
     per_turn_history: list[OutputPoints] = field(default_factory=list)
+    # per-turn output of `worked` and its (y, x)-sorted list for the turn
+    # record; both dropped whenever `worked` changes
+    points: OutputPoints | None = field(default=None, init=False, repr=False, compare=False)
+    worked_sorted: list[tuple[int, int]] | None = field(default=None, init=False, repr=False, compare=False)
     # the 20 non-center cluster tiles as (tile index, coord), best first by
     # (-weight, y, x); weights are fixed per game, so sorted once at founding
     candidates: tuple[tuple[int, tuple[int, int]], ...] = field(default=(), repr=False, compare=False)
@@ -253,12 +258,16 @@ class GameState:
     # working city id, None when free; the map itself holds no game state
     owner: list[int | None] = field(default_factory=list, repr=False)
     worked_by: list[int | None] = field(default_factory=list, repr=False)
-    # per-episode caches/journal, rebuilt by new_game
+    # per (map, ruleset), shared by every game on the map; read only
     yields: dict[tuple[int, int], YieldTriple] = field(default_factory=dict, repr=False)
     # per-turn contribution of a worked tile to the weighted output sum:
     # food + 2*production + trade + (gold+luxury+science), and the derived
     # points always partition the trade
     weights: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    # set when owners, centers or head counts changed since the last full
+    # rebooking of worked tiles (a founding, a growth, a settler built)
+    rebook_due: bool = False
+    # the turn's journal; None while replaying
     events: TurnRecord | None = field(default=None, repr=False)
 
     def index(self, coord: tuple[int, int]) -> int:
@@ -274,23 +283,39 @@ class GameState:
 
 
 def new_game(game_map: GameMap, config: GameConfig, seed: int, num_players: int = 1) -> GameState:
-    state = GameState(
+    yields, weights = _tile_yields(game_map, config.ruleset)
+    return GameState(
         map=game_map,
         config=config,
         players=[PlayerState(player_id=i) for i in range(num_players)],
         rng=random.Random(seed),
         owner=[None] * len(game_map.tiles),
         worked_by=[None] * len(game_map.tiles),
+        yields=yields,
+        weights=weights,
     )
-    rules = config.ruleset
-    by_kind: dict[tuple, tuple[YieldTriple, int]] = {}  # (terrain, special, river) -> (yield, weight)
-    for t in game_map.tiles:
-        kind = (t.terrain, t.special, t.river)
-        if kind not in by_kind:
-            y = tile_yield(t, rules)
-            by_kind[kind] = (y, y.food + 2 * y.production + 2 * y.trade)
-        state.yields[(t.x, t.y)], state.weights[(t.x, t.y)] = by_kind[kind]
-    return state
+
+
+def _tile_yields(game_map: GameMap, rules: Ruleset):
+    """Per-tile yields and weights, cached on the map beside its cluster
+    table for the last ruleset asked for. A `Ruleset` holds dicts and has no
+    hash, so the one entry keeps a copy of it and is matched with `==`:
+    replays build an equal ruleset per log."""
+    cached = game_map._yields
+    if cached is None or cached[0] != rules:
+        yields, weights = {}, {}
+        by_kind: dict[tuple, tuple[YieldTriple, int]] = {}  # (terrain, special, river) -> (yield, weight)
+        for t in game_map.tiles:
+            kind = (t.terrain, t.special, t.river)
+            if kind not in by_kind:
+                y = tile_yield(t, rules)
+                by_kind[kind] = (y, y.food + 2 * y.production + 2 * y.trade)
+            yields[(t.x, t.y)], weights[(t.x, t.y)] = by_kind[kind]
+        key = dataclasses.replace(
+            rules, terrain_yields=dict(rules.terrain_yields), special_bonuses=dict(rules.special_bonuses)
+        )
+        cached = game_map._yields = (key, yields, weights)
+    return cached[1], cached[2]
 
 
 def add_settler(state: GameState, player_id: int, coord: tuple[int, int]) -> Settler:
@@ -369,9 +394,13 @@ def found_city(state: GameState, player_id: int, coord: tuple[int, int]) -> City
     if displaced is not None:
         for other in state.all_cities():
             if other.id == displaced:
+                # edited in place: the next rebooking may leave this set as it
+                # is, so its cached output goes now
                 other.worked.discard(coord)
+                other.points = other.worked_sorted = None
     city.worked = {coord}
     state.worked_by[center] = city.id
+    state.rebook_due = True
 
     if state.events is not None:
         d = settler.decision or {}
@@ -410,17 +439,17 @@ def assign_citizens(state: GameState, city: City) -> set[tuple[int, int]]:
     Eligible tiles are cluster tiles not worked by another city and not
     claimed by another player; ties break by (y, x) ascending.
     """
-    return {city.coord, *_eligible_tiles(state, city)[: max(0, city.citizens - 1)]}
+    return {city.coord, *itertools.islice(_eligible_tiles(state, city), max(0, city.citizens - 1))}
 
 
-def _eligible_tiles(state: GameState, city: City) -> list[tuple[int, int]]:
-    """The city's non-center eligible tiles, best first."""
+def _eligible_tiles(state: GameState, city: City):
+    """The city's non-center eligible tiles, best first, as needed."""
     owner, worked_by = state.owner, state.worked_by
-    return [
+    return (
         coord
         for i, coord in city.candidates
         if worked_by[i] in (None, city.id) and owner[i] in (None, city.player)
-    ]
+    )
 
 
 def _settler_step(state: GameState, settler: Settler) -> None:
@@ -466,32 +495,25 @@ def _settler_phase(state: GameState) -> None:
 
 def _city_phase(state: GameState) -> None:
     cfg = state.config
-    rules = cfg.ruleset
     cities = sorted(state.all_cities(), key=lambda c: c.id)
 
-    # re-book non-center worked tiles each turn, oldest city first; the
-    # center stays booked so no neighbour can ever claim it
-    for city in cities:
-        _release_worked(state, city)
-    for city in cities:
-        _book_worked(state, city)
+    # re-book non-center worked tiles, oldest city first; the center stays
+    # booked so no neighbour can ever claim it. The result depends only on
+    # owners, centers and head counts, so it is redone only after one of
+    # them changed: the same sets as re-booking every turn.
+    if state.rebook_due:
+        state.rebook_due = False
+        for city in cities:
+            _release_worked(state, city)
+        for city in cities:
+            _book_worked(state, city)
 
     for city in cities:
-        total = YieldTriple()
-        for coord in city.worked:
-            total = total + state.yields[coord]
-        total = total + rules.center_bonus
-        gold, luxury, science = convert_trade(total.trade, cfg.trade_split)
-        points = OutputPoints(
-            gold=gold,
-            luxury=luxury,
-            science=science,
-            food=total.food,
-            production=total.production,
-            trade=total.trade,
-        )
+        points = _city_points(state, city)
         city.per_turn_history.append(points)
         if state.events is not None:
+            if city.worked_sorted is None:
+                city.worked_sorted = sorted(city.worked, key=lambda c: (c[1], c[0]))
             state.events.cities.append(
                 CityTurnRecord(
                     city_id=city.id,
@@ -499,18 +521,19 @@ def _city_phase(state: GameState) -> None:
                     x=city.x,
                     y=city.y,
                     citizens=city.citizens,
-                    worked=sorted(city.worked, key=lambda c: (c[1], c[0])),
+                    worked=city.worked_sorted,
                     points=points,
                 )
             )
 
-        city.food_store = max(0, city.food_store + total.food - cfg.food_per_citizen * city.citizens)
+        city.food_store = max(0, city.food_store + points.food - cfg.food_per_citizen * city.citizens)
         population_before = city.citizens
         threshold = cfg.growth_threshold_base * city.citizens
         if (
             city.food_store >= threshold
             and city.citizens < cfg.max_city_size
-            and len(_eligible_tiles(state, city)) >= city.citizens  # room for one more beside the center
+            # room for one more beside the center
+            and len(list(_eligible_tiles(state, city))) >= city.citizens
         ):
             city.citizens += 1
             city.food_store -= threshold
@@ -518,7 +541,7 @@ def _city_phase(state: GameState) -> None:
         player = state.player(city.player)
         expansion_slots = len(player.cities) + len(player.settlers) < cfg.max_cities
         if city.citizens >= 3 and expansion_slots:
-            city.production_store += total.production
+            city.production_store += points.production
             if city.production_store >= cfg.settler_production_cost:
                 city.production_store -= cfg.settler_production_cost
                 city.citizens -= cfg.settler_population_cost
@@ -527,9 +550,30 @@ def _city_phase(state: GameState) -> None:
         if city.citizens != population_before:
             # population changed after this turn's work: rebook now so the
             # worked set always matches the head count (production applies
-            # from the next turn)
+            # from the next turn), and all cities at the next turn
             _release_worked(state, city)
             _book_worked(state, city)
+            state.rebook_due = True
+
+
+def _city_points(state: GameState, city: City) -> OutputPoints:
+    """The city's output for one turn of its worked set, cached on the city."""
+    if city.points is None:
+        cfg = state.config
+        total = YieldTriple()
+        for coord in city.worked:
+            total = total + state.yields[coord]
+        total = total + cfg.ruleset.center_bonus
+        gold, luxury, science = convert_trade(total.trade, cfg.trade_split)
+        city.points = OutputPoints(
+            gold=gold,
+            luxury=luxury,
+            science=science,
+            food=total.food,
+            production=total.production,
+            trade=total.trade,
+        )
+    return city.points
 
 
 def _release_worked(state: GameState, city: City) -> None:
@@ -540,7 +584,10 @@ def _release_worked(state: GameState, city: City) -> None:
 
 
 def _book_worked(state: GameState, city: City) -> None:
-    city.worked = assign_citizens(state, city)
+    worked = assign_citizens(state, city)
+    if worked != city.worked:
+        city.worked = worked
+        city.points = city.worked_sorted = None
     for coord in city.worked:
         state.worked_by[state.index(coord)] = city.id
     city.citizens = min(city.citizens, len(city.worked))  # displaced citizens disband (defensive)
@@ -550,18 +597,22 @@ def step_turn(state: GameState, agent=None) -> TurnRecord:
     """Play one turn: agent targets settlers, settlers walk/found, cities produce."""
     if state.finished:
         raise SimulationError(f"game already finished at turn {state.turn}")
-    state.events = TurnRecord(turn=state.turn)
+    state.events = record = TurnRecord(turn=state.turn)
+    _play_turn(state, agent)
+    state.events = None
+    return record
+
+
+def _play_turn(state: GameState, agent) -> None:
+    """Play one turn, journaled into `state.events` unless that is None."""
     if agent is not None:
         agent.act(state)
     _settler_phase(state)
     _city_phase(state)
-    record = state.events
-    state.events = None
     if state.turn >= state.config.turn_limit:
         state.finished = True
     else:
         state.turn += 1
-    return record
 
 
 def city_output(city: City, T: int) -> int:
@@ -680,12 +731,15 @@ def _decoded_map(map_text: str) -> GameMap:
 
 
 def replay_episode(log: EpisodeLog) -> int:
-    """Re-run the logged episode from its seed and decisions; returns final TGO."""
+    """Re-run the logged episode from its seed and decisions; returns final TGO.
+
+    Only the TGO is wanted, so the turns are played without a journal.
+    """
     state = new_game(log.decoded_map(), log.config, log.seed)
     place_initial_settlers(state, log.player)
     agent = ReplayAgent(log)
     while not state.finished:
-        step_turn(state, agent)
+        _play_turn(state, agent)
     return total_game_output(state, log.player, log.config.turn_limit)
 
 

@@ -50,6 +50,11 @@ class Evaluator:
         """Rule trace from the most recent scoring pass, if any."""
         return None
 
+    def features_for(self, state: GameState, player_id: int, center) -> np.ndarray:
+        """Feature row of `center` in `state`, logged with the founding
+        decision; asked right after a scoring pass of the same state."""
+        return features.feature_rows(state, [center], player_id)[0]
+
 
 class ConstantEvaluator(Evaluator):
     kind = "constant"
@@ -143,13 +148,21 @@ class NnEvaluator(Evaluator):
     def __init__(self, model: mlp.MlpModel, normalization: features.MinMaxNormalization):
         self.model = model
         self.normalization = normalization
+        # the last pass: (scored centers, their feature rows)
+        self._pass = None
 
     def score_many(self, state, player_id, centers):
         if not centers:
             return []
         feats = features.feature_rows(state, centers, player_id)
+        self._pass = (centers, feats)
         out = mlp.predict(self.model, features.minmax_apply(self.normalization, feats))
         return [float(v) for v in features.denormalize_label(self.normalization, out)]
+
+    def features_for(self, state, player_id, center):
+        """The row the last pass scored for `center`: no city has moved since."""
+        centers, rows = self._pass
+        return rows[centers.index(center)]
 
 
 def evaluate_placements(evaluator: Evaluator, state: GameState, player_id: int):
@@ -171,19 +184,19 @@ class SettlementAgent:
 
     def act(self, state: GameState) -> None:
         player = state.player(self.player_id)
-        taken = {
-            s.target
-            for s in player.settlers
-            if s.target is not None and engine.is_legal_founding_site(state, self.player_id, s.target)
-        }
-        ranked = None
+        # assigning targets changes no legality, so each target is checked once
+        taken = set()
+        idle = []
         for settler in player.settlers:
-            if settler.target is not None and engine.is_legal_founding_site(
-                state, self.player_id, settler.target
-            ):
-                continue
-            if ranked is None:
-                ranked = evaluate_placements(self.evaluator, state, self.player_id)
+            target = settler.target
+            if target is not None and engine.is_legal_founding_site(state, self.player_id, target):
+                taken.add(target)
+            else:
+                idle.append(settler)
+        if not idle:
+            return
+        ranked = evaluate_placements(self.evaluator, state, self.player_id)
+        for settler in idle:
             choice = next(((c, s) for c, s in ranked if c not in taken), None)
             if choice is None:
                 settler.target = None  # nowhere left to settle; idle
@@ -193,7 +206,7 @@ class SettlementAgent:
             trace = self.evaluator.trace_for(center)
             decision = {
                 "score": score,
-                "features": [float(v) for v in features.extract_features(state, center, self.player_id)],
+                "features": [float(v) for v in self.evaluator.features_for(state, self.player_id, center)],
                 "trace": rulekb.trace_to_dict(trace) if trace is not None else None,
                 "evaluator": self.evaluator.kind,
             }
@@ -484,13 +497,12 @@ def persist_experiment(result: ExperimentResult, out_dir: str, game_map: GameMap
     shutil.rmtree(old, ignore_errors=True)
 
 
-def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], dict]:
-    """(metrics, logs, raw config) of a persisted run; ValueError unless every
+def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], ExperimentConfig]:
+    """(metrics, logs, config) of a persisted run; ValueError unless every
     metrics row has its episode log with the same final TGO."""
     with open(os.path.join(path, "config.json")) as fh:
-        config = json.load(fh)
-    window = config.get("metrics_window") or default_window(config["episodes"])
-    metrics = read_metrics_csv(os.path.join(path, "metrics.csv"), window=window)
+        config = experiment_config_from_dict(json.load(fh))
+    metrics = read_metrics_csv(os.path.join(path, "metrics.csv"), window=config.window())
     log_dir = os.path.join(path, "logs")
     logs = [
         engine.read_episode_log(os.path.join(log_dir, name))

@@ -225,7 +225,7 @@ class ValueTable:
 def greedy_rule(table: ValueTable, state_id: int, conflict_set: ConflictSet) -> ScoringRule:
     """Highest-mean rule; unvisited rules rank above all visited, ties by id."""
     best = None
-    for rule in sorted(conflict_set.rules, key=lambda r: r.id):
+    for rule in conflict_set.by_id:
         entry = table.q_entry(state_id, conflict_set.family, rule.id)
         q = float("inf") if entry is None else entry.mean
         if best is None or q > best[0]:
@@ -246,8 +246,7 @@ def choose(
         raise ValueError(f"conflict set {conflict_set.family!r} is empty")
     eps = policy.current_epsilon
     if eps > 0 and policy.rng.random() < eps:
-        rules = sorted(conflict_set.rules, key=lambda r: r.id)
-        rule = rules[policy.rng.randrange(len(rules))]
+        rule = conflict_set.by_id[policy.rng.randrange(len(conflict_set.by_id))]
     else:
         rule = greedy_rule(table, state_id, conflict_set)
     return rule, DecisionRecord(state_id=state_id, family=conflict_set.family, rule_id=rule.id, turn=turn)

@@ -11,7 +11,7 @@ independently of the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -33,6 +33,11 @@ class ConflictSet:
     family: str
     condition: str  # human-readable summary of the shared condition
     rules: tuple[ScoringRule, ...]
+    # the rules by id, the order the policy draws and breaks ties in
+    by_id: tuple[ScoringRule, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_id", tuple(sorted(self.rules, key=lambda r: r.id)))
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,12 @@ class GameMap:
     height: int
     tiles: list[Tile]  # row-major, y*width + x
     seed: int
-    # static per-map facts, built on first use by cluster_table() and
-    # encode_map(); copies start without them
+    # static per-map facts, built on first use by cluster_table(),
+    # encode_map() and engine.new_game() (tile yields per ruleset); copies
+    # start without them
     _cluster_table: ClusterTable | None = field(default=None, init=False, repr=False, compare=False)
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _yields: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -160,7 +162,7 @@ class GameMap:
         return self.tiles[y * self.width + x]
 
     def copy(self) -> "GameMap":
-        """Independent deep copy, without the cached cluster table and text."""
+        """Independent deep copy, without the cached per-map facts."""
         return GameMap(
             width=self.width,
             height=self.height,

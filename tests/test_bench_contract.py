@@ -11,8 +11,10 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from settlebench import mlp
+from conftest import single_state_model
+from settlebench import engine, harness, mlp
 from settlebench.features import Dataset, DatasetEntry, minmax_fit
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -57,3 +59,23 @@ def test_training_steps_pass_through_the_traced_boundaries():
     assert calls == [1, steps, steps, steps]
     assert traced.flat.tobytes() == untraced.flat.tobytes()
     assert mlp.forward.__name__ == "forward" and not hasattr(mlp.forward, "__wrapped__")
+
+
+@pytest.mark.parametrize("spans", [True, False])
+def test_every_episode_and_replay_passes_the_traced_boundaries(spans):
+    """`episodes_per_s` times `engine.run_episode` calls, and the replay
+    figures time `engine.replay_episode`: each must see every episode."""
+    tracing = load_tracing()
+    config = harness.ExperimentConfig(
+        evaluator="kb", episodes=3, base_seed=2, game=engine.GameConfig(turn_limit=20)
+    )
+    with tracing.instrument(tracing.Tracer(spans=spans)) as tracer:
+        result = harness.run_experiment(config, cluster_model=single_state_model())
+        replayed = [engine.replay_episode(log) for log in result.logs]
+    assert replayed == [log.final_tgo for log in result.logs]
+    assert len(tracer.episode_s) == config.episodes
+    if spans:
+        assert tracer.calls("engine.run_episode") == config.episodes
+        assert tracer.calls("engine.replay_episode") == len(result.logs)
+        # replays play their turns without the journal `step_turn` builds
+        assert tracer.calls("engine.step_turn") == config.episodes * config.game.turn_limit

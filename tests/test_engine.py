@@ -97,6 +97,24 @@ def test_river_adds_trade():
     assert river.trade == bare.trade + RULES.river_trade_bonus
 
 
+def test_yields_are_built_once_per_map_and_ruleset():
+    game_map = flat_map(12, 12)
+    game_map.tile(6, 5).special = SpecialKind.WHEAT
+    wheat = game_map.tile(6, 5)
+    first = new_game(game_map, GameConfig(), seed=0)
+    # a replay decodes an equal ruleset from its log: the tables are shared
+    equal = engine.config_from_dict(engine.config_to_dict(GameConfig()))
+    second = new_game(game_map, equal, seed=1)
+    assert second.yields is first.yields and second.weights is first.weights
+    rules = default_ruleset()
+    rules.special_bonuses[SpecialKind.WHEAT] = engine.YieldTriple(food=5)
+    assert new_game(game_map, GameConfig(ruleset=rules), seed=0).yields[(6, 5)] == tile_yield(wheat, rules)
+    # the cache holds a copy of its ruleset: one edited after use is a new ruleset
+    rules.special_bonuses[SpecialKind.WHEAT] = engine.YieldTriple(food=1)
+    assert new_game(game_map, GameConfig(ruleset=rules), seed=0).yields[(6, 5)] == tile_yield(wheat, rules)
+    assert new_game(game_map, GameConfig(), seed=0).yields[(6, 5)] == tile_yield(wheat, RULES)
+
+
 # -- trade conversion ----------------------------------------------------------
 
 
@@ -236,6 +254,27 @@ def test_growth_needs_a_free_tile():
     state.owner[city.candidates[0][0]] = None
     step_turn(state)
     assert city.citizens == 2
+
+
+def test_evicted_neighbour_loses_the_points_of_the_new_center():
+    # the neighbour works the new city's center and has no other tile to move
+    # to, so rebooking leaves its worked set as the founding edited it
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), seed=0, num_players=2)
+    add_settler(state, 0, (5, 5))
+    old = found_city(state, 0, (5, 5))
+    for i, coord in old.candidates:
+        if coord != (7, 5):
+            state.owner[i] = 1
+    old.citizens = 2
+    step_turn(state)
+    assert old.worked == {(5, 5), (7, 5)}
+    assert old.per_turn_history[-1] == OutputPoints(food=6, production=1)
+    add_settler(state, 0, (7, 5))
+    found_city(state, 0, (7, 5))
+    step_turn(state)
+    assert old.worked == {(5, 5)} and old.citizens == 1
+    # grass center 2 + center bonus (2, 1, 0): the lost tile's 2 food are gone
+    assert old.per_turn_history[-1] == OutputPoints(food=4, production=1)
 
 
 # -- turn stepping -----------------------------------------------------------------

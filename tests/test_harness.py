@@ -245,10 +245,10 @@ def test_nn_arm_and_periodic_retraining(bootstrap_corpus):
 def test_run_dir_persists_everything(tmp_path):
     config = small_experiment(episodes=3)
     run_experiment(config, out_dir=str(tmp_path / "run"))
-    metrics, logs, config_dict = load_run_dir(str(tmp_path / "run"))
+    metrics, logs, loaded = load_run_dir(str(tmp_path / "run"))
     assert len(logs) == 3
     assert len(metrics.tgo) == 3
-    assert config_dict["evaluator"] == "kb"
+    assert loaded == config
     assert (tmp_path / "run" / "map.txt").exists()
     assert (tmp_path / "run" / "value_table.txt").exists()
 
@@ -277,7 +277,7 @@ def test_persist_drops_files_of_the_previous_run(tmp_path, tiny_nn):
     assert (run / "value_table.txt").exists()
     run_experiment(small_experiment(evaluator="nn", episodes=1), nn=tiny_nn, out_dir=str(run))
     assert not (run / "value_table.txt").exists()
-    assert load_run_dir(str(run))[2]["evaluator"] == "nn"
+    assert load_run_dir(str(run))[2].evaluator == "nn"
 
 
 def test_persist_refuses_a_directory_that_is_not_a_run(tmp_path):

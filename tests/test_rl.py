@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,20 @@ def test_choose_epsilon_one_is_uniform():
         counts[rule.id] += 1
     for rid, n in counts.items():
         assert 0.23 <= n / 10_000 <= 0.27, (rid, n)
+
+
+def test_draws_and_ties_go_by_rule_id_whatever_the_rule_order():
+    from settlebench.rulekb import ConflictSet, ScoringRule
+
+    rules = tuple(ScoringRule(id=f"f_alt{i}", family="f", points=i) for i in (10, 2, 0, 1))
+    by_id = sorted(rules, key=lambda r: r.id)  # alt0, alt1, alt10, alt2
+    family = ConflictSet(family="f", condition="x", rules=rules)
+    assert family.rules == rules and list(family.by_id) == by_id
+    assert greedy_rule(ValueTable(), 0, family) == by_id[0]
+    policy, draws = Policy(epsilon=1.0, seed=7), random.Random(7)
+    for _ in range(20):
+        draws.random()
+        assert choose(ValueTable(), policy, 0, family)[0] == by_id[draws.randrange(len(rules))]
 
 
 def test_choose_empty_set_rejected():
