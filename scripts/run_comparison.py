@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Full two-arm comparison at desk scale.
+"""Full two-arm comparison at desk scale: a wrapper over harness.run_comparison.
 
 Pipeline: random-agent bootstrap corpus -> placement dataset + trained
 regressor -> the rule-based RL arm and the NN arm trained from the same
@@ -12,82 +12,37 @@ percentages, per-episode curves and terrain distributions.
 import argparse
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from settlebench import engine, features, harness, mlp  # noqa: E402
-from settlebench.world import MapGenConfig, encode_map, generate_map  # noqa: E402
+from settlebench import harness  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs/comparison")
-    parser.add_argument("--episodes", type=int, default=300)
-    parser.add_argument("--bootstrap-episodes", type=int, default=280)
-    parser.add_argument("--turn-limit", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--epsilon", type=float, default=0.1)
-    parser.add_argument("--epochs", type=int, default=60)
-    parser.add_argument("--window", type=int, default=None, help="metrics window (default 10%%)")
+    # flags left out fall back to run_comparison's defaults
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", default="runs/comparison")
+    parser.add_argument("--episodes", type=int)
+    parser.add_argument("--bootstrap-episodes", type=int)
+    parser.add_argument("--turn-limit", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--window", type=int, help="metrics window (default 10%%)")
     args = parser.parse_args()
 
-    game = engine.GameConfig(turn_limit=args.turn_limit)
-    mapgen = MapGenConfig()
-    game_map = generate_map(mapgen, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "map.txt"), "w") as fh:
-        fh.write(encode_map(game_map))
-    print(f"fixed map seed {args.seed}: buildable fraction {game_map.buildable_fraction():.3f}")
-
-    t0 = time.time()
-    corpus, _ = harness.bootstrap_corpus(
-        game, mapgen, args.seed, args.bootstrap_episodes, game_map=game_map
-    )
-    cities = sum(len(log.foundings()) for log in corpus)
-    print(f"bootstrap corpus: {len(corpus)} episodes, {cities} cities ({time.time() - t0:.1f}s)")
-
-    dataset = features.build_dataset(corpus)
-    features.write_dataset_csv(dataset, os.path.join(args.out, "dataset.csv"))
-    model, norm, report = harness.train_nn_from_logs(
-        corpus, mlp.MlpConfig(epochs=args.epochs), folds=10
-    )
-    mlp.save_model(model, norm, os.path.join(args.out, "model.json"))
-    print(f"regressor: {len(dataset)} unique entries, 10-fold CV MSE {report.mean_cv_mse:.5f}")
-
-    results = {}
-    for arm in ("kb", "nn"):
-        config = harness.ExperimentConfig(
-            evaluator=arm,
-            episodes=args.episodes,
-            base_seed=args.seed,
-            game=game,
-            mapgen=mapgen,
-            rl=harness.RlConfig(epsilon=args.epsilon),
-            metrics_window=args.window,
-        )
-        t0 = time.time()
-        results[arm] = harness.run_experiment(
-            config,
-            game_map=game_map,
-            nn=(model, norm) if arm == "nn" else None,
-            out_dir=os.path.join(args.out, arm),
-        )
-        metrics = results[arm].metrics
+    run = harness.run_comparison(**vars(args))
+    print(f"fixed map seed {run.game_map.seed}: buildable fraction {run.game_map.buildable_fraction():.3f}")
+    cities = sum(len(log.foundings()) for log in run.corpus)
+    print(f"bootstrap corpus: {len(run.corpus)} episodes, {cities} cities ({run.seconds['corpus']:.1f}s)")
+    print(f"regressor: {len(run.dataset)} unique entries, 10-fold CV MSE {run.train_report.mean_cv_mse:.5f}")
+    for arm, result in run.arms.items():
+        metrics = result.metrics
         print(
-            f"{arm} arm: {args.episodes} episodes in {time.time() - t0:.1f}s, "
-            f"final avg TGO {metrics.running_avg[-1]:.1f}, "
-            f"improvement {metrics.improvement * 100:.1f}%"
+            f"{arm} arm: {result.config.episodes} episodes in {run.seconds[arm]:.1f}s, "
+            f"final avg TGO {metrics.running_avg[-1]:.1f}, improvement {metrics.improvement * 100:.1f}%"
         )
-
-    comparison = harness.compare(
-        results["kb"].metrics, results["nn"].metrics, results["kb"].logs, results["nn"].logs
-    )
-    harness.write_comparison(comparison, os.path.join(args.out, "comparison"))
-    print()
-    for line in comparison.summary_lines():
-        print(line)
-    print(f"\nartifacts in {args.out}/")
+    print("", *run.report.summary_lines(), f"\nartifacts in {args.out_dir}/", sep="\n")
     return 0
 
 

@@ -240,13 +240,11 @@ def cmd_train_nn(args) -> int:
         print(f"selected hidden={config.hidden}")
     else:
         config = mlp.MlpConfig(**base)
-    cv = mlp.kfold_cv(dataset, config, folds=folds, seed=args.seed)
+    model, norm, cv = harness.train_nn(dataset, config, folds=folds, cv_seed=args.seed)
     for i, fold_mse in enumerate(cv.fold_mses):
         print(f"fold {i}: MSE {fold_mse:.6f}")
     print(f"mean CV MSE {cv.mean_cv_mse:.6f} over {folds} folds")
-    dataset.normalization = features.minmax_fit(dataset)
-    model, _ = mlp.train(dataset, config)
-    mlp.save_model(model, dataset.normalization, args.out_model)
+    mlp.save_model(model, norm, args.out_model)
     print(f"model saved to {args.out_model}")
     return 0
 

@@ -15,7 +15,9 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -171,8 +173,8 @@ def evaluate_placements(evaluator: Evaluator, state: GameState, player_id: int):
     if not sites:
         return []
     scores = evaluator.score_many(state, player_id, sites)
-    ranked = sorted(zip(sites, scores), key=lambda cs: (-cs[1], cs[0][1], cs[0][0]))
-    return ranked
+    # sites come in (y, x) order, and a reversed sort keeps ties in input order
+    return sorted(zip(sites, scores), key=itemgetter(1), reverse=True)
 
 
 class SettlementAgent:
@@ -626,14 +628,13 @@ def write_comparison(report: ComparisonReport, out_dir: str) -> None:
 # NN training pipeline
 
 
-def train_nn_from_logs(
-    logs: list[EpisodeLog],
+def train_nn(
+    dataset: features.Dataset,
     config: mlp.MlpConfig | None = None,
     folds: int = 10,
     cv_seed: int = 0,
 ) -> tuple[mlp.MlpModel, features.MinMaxNormalization, mlp.TrainReport]:
-    """Dataset from logs, CV assessment, final model trained on everything."""
-    dataset = features.build_dataset(logs)
+    """CV assessment, then the final model trained on the whole dataset."""
     if len(dataset) < 2:
         raise ValueError(f"only {len(dataset)} unique entries; not enough to train")
     config = config or mlp.MlpConfig()
@@ -643,6 +644,66 @@ def train_nn_from_logs(
     train_report.fold_mses = cv_report.fold_mses
     train_report.mean_cv_mse = cv_report.mean_cv_mse
     return model, dataset.normalization, train_report
+
+
+def train_nn_from_logs(
+    logs: list[EpisodeLog],
+    config: mlp.MlpConfig | None = None,
+    folds: int = 10,
+    cv_seed: int = 0,
+) -> tuple[mlp.MlpModel, features.MinMaxNormalization, mlp.TrainReport]:
+    return train_nn(features.build_dataset(logs), config, folds, cv_seed)
+
+
+# ---------------------------------------------------------------------------
+# the two-arm comparison
+
+
+@dataclass
+class ComparisonRun:
+    game_map: GameMap
+    corpus: list[EpisodeLog]
+    dataset: features.Dataset
+    model: mlp.MlpModel
+    normalization: features.MinMaxNormalization
+    train_report: mlp.TrainReport
+    arms: dict[str, ExperimentResult]  # "kb" is the report's arm a, "nn" its arm b
+    report: ComparisonReport
+    seconds: dict[str, float]  # wall time of the "corpus", "kb" and "nn" stages
+
+
+def run_comparison(
+    seed: int = 11, episodes: int = 300, bootstrap_episodes: int = 280, turn_limit: int = 60,
+    epsilon: float = 0.1, epochs: int = 60, window: int | None = None, out_dir: str | None = None,
+) -> ComparisonRun:
+    """The experiment on the fixed map of `seed`: random-agent corpus, regressor, kb and nn arms,
+    comparison. With `out_dir`, writes map.txt, dataset.csv, model.json, kb/, nn/ and comparison/."""
+    game, mapgen = engine.GameConfig(turn_limit=turn_limit), MapGenConfig()
+    game_map = generate_map(mapgen, seed)
+    t0 = time.perf_counter()
+    corpus, _ = bootstrap_corpus(game, mapgen, seed, bootstrap_episodes, game_map=game_map)
+    seconds = {"corpus": time.perf_counter() - t0}
+    dataset = features.build_dataset(corpus)
+    if out_dir is not None:  # the dataset is written before training fits its normalization
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "map.txt"), "w") as fh:
+            fh.write(encode_map(game_map))
+        features.write_dataset_csv(dataset, os.path.join(out_dir, "dataset.csv"))
+    model, norm, train_report = train_nn(dataset, mlp.MlpConfig(epochs=epochs), folds=10)
+    if out_dir is not None:
+        mlp.save_model(model, norm, os.path.join(out_dir, "model.json"))
+    arms = {}
+    for arm in ("kb", "nn"):
+        config = ExperimentConfig(evaluator=arm, episodes=episodes, base_seed=seed, game=game, mapgen=mapgen,
+                                  rl=RlConfig(epsilon=epsilon), metrics_window=window)
+        t0 = time.perf_counter()
+        arms[arm] = run_experiment(config, game_map=game_map, nn=(model, norm) if arm == "nn" else None,
+                                   out_dir=None if out_dir is None else os.path.join(out_dir, arm))
+        seconds[arm] = time.perf_counter() - t0
+    report = compare(arms["kb"].metrics, arms["nn"].metrics, arms["kb"].logs, arms["nn"].logs)
+    if out_dir is not None:
+        write_comparison(report, os.path.join(out_dir, "comparison"))
+    return ComparisonRun(game_map, corpus, dataset, model, norm, train_report, arms, report, seconds)
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:

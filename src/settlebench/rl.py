@@ -33,35 +33,21 @@ STATE_FEATURE_NAMES = (
 )
 
 
-def state_features(
-    state: GameState, player_id: int, names: tuple[str, ...] = STATE_FEATURE_NAMES
-) -> np.ndarray:
-    """Numeric summary of a game state for one player, in `names` order."""
+def state_features(state: GameState, player_id: int) -> np.ndarray:
+    """Numeric summary of a game state for one player, in STATE_FEATURE_NAMES order."""
     player = state.player(player_id)
     owned = [t for t, owner in zip(state.map.tiles, state.owner) if owner == player_id]
-    if owned:
-        mean_weight = sum(state.weights[(t.x, t.y)] for t in owned) / len(owned)
-        specials_owned = sum(1 for t in owned if t.special is not None)
-    else:
-        mean_weight = 0.0
-        specials_owned = 0
+    mean_weight = sum(state.weights[(t.x, t.y)] for t in owned) / len(owned) if owned else 0.0
+    specials_owned = sum(1 for t in owned if t.special is not None)
     seats = [c.coord for c in player.cities if cluster_in_bounds(state.map, c.coord)]
     table = cluster_table(state.map)
     coast = table.rule_mask[table.rows(seats), FAMILY_IDS.index(WATER_ACCESS)].sum()
-    values = {
-        "turn": float(state.turn),
-        "city_count": float(len(player.cities)),
-        "total_citizens": float(sum(c.citizens for c in player.cities)),
-        "tgo_so_far": float(total_game_output(state, player_id, state.turn)),
-        "settlers_in_play": float(len(player.settlers)),
-        "mean_owned_tile_weight": float(mean_weight),
-        "specials_owned": float(specials_owned),
-        "coast_cities": float(coast),
-    }
-    try:
-        return np.array([values[n] for n in names], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"unknown state feature {exc.args[0]!r}") from exc
+    tgo = total_game_output(state, player_id, state.turn)
+    citizens = sum(c.citizens for c in player.cities)
+    return np.array(
+        [state.turn, len(player.cities), citizens, tgo, len(player.settlers), mean_weight, specials_owned, coast],
+        dtype=float,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Acceptance suite: every criterion asserts at its stated tolerance and
 prints one pass line. Run with `pytest tests/test_acceptance.py -s`.
 
-The heavyweight runs (bootstrap corpus, the two 300-episode arms) are
-session fixtures shared across criteria, so the whole suite stays well
-inside the stated runtime budgets.
+The heavyweight runs (bootstrap corpus, regressor, the two 300-episode
+arms and their comparison) are one `harness.run_comparison` call, the
+pipeline behind scripts/run_comparison.py, shared across criteria as a
+session fixture.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from settlebench.harness import (
     RandomEvaluator,
     RlConfig,
     SettlementAgent,
-    compare,
     episode_seed,
     run_experiment,
 )
@@ -26,7 +26,6 @@ from settlebench.rulekb import default_kb
 from settlebench.world import MapGenConfig
 
 BASE_SEED = 11
-GAME_60 = GameConfig(turn_limit=60)
 
 
 def ok(n: int, message: str) -> None:
@@ -34,46 +33,11 @@ def ok(n: int, message: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def corpus():
-    """Random-agent bootstrap corpus on the shared fixed map (>=300 cities)."""
-    logs, points = harness.bootstrap_corpus(GAME_60, MapGenConfig(), BASE_SEED, episodes=280)
-    assert sum(len(l.foundings()) for l in logs) >= 300
-    return logs, points
-
-
-@pytest.fixture(scope="session")
-def kb_run():
-    config = ExperimentConfig(
-        evaluator="kb",
-        episodes=300,
-        base_seed=BASE_SEED,
-        game=GAME_60,
-        mapgen=MapGenConfig(),
-        rl=RlConfig(epsilon=0.1, warmup_episodes=50, k=32),
-        metrics_window=30,
-    )
-    return run_experiment(config)
-
-
-@pytest.fixture(scope="session")
-def nn_model(corpus):
-    logs, _ = corpus
-    model, norm, report = harness.train_nn_from_logs(logs, mlp.MlpConfig(epochs=60), folds=10)
-    return model, norm, report, logs
-
-
-@pytest.fixture(scope="session")
-def nn_run(nn_model):
-    model, norm, _, _ = nn_model
-    config = ExperimentConfig(
-        evaluator="nn",
-        episodes=300,
-        base_seed=BASE_SEED,
-        game=GAME_60,
-        mapgen=MapGenConfig(),
-        metrics_window=30,
-    )
-    return run_experiment(config, nn=(model, norm))
+def comparison():
+    """The README's experiment at its default sizes on the fixed map: a
+    280-episode bootstrap corpus, the regressor trained on it, both
+    300-episode arms and their comparison."""
+    return harness.run_comparison(seed=BASE_SEED)
 
 
 def test_criterion_1_formula_oracles():
@@ -184,7 +148,7 @@ def test_criterion_5_gradient_check():
     ok(5, f"max relative gradient error {worst:.2e} < 1e-4")
 
 
-def test_criterion_6_nn_learning_sanity(nn_model):
+def test_criterion_6_nn_learning_sanity(comparison):
     """Synthetic convergence plus CV beating the mean predictor by >= 20%."""
     rng = np.random.default_rng(6)
     x = rng.random((200, 8))
@@ -198,9 +162,8 @@ def test_criterion_6_nn_learning_sanity(nn_model):
     reduction = 1 - report.epoch_losses[-1] / report.epoch_losses[0]
     assert reduction >= 0.90
 
-    model, norm, cv_report, logs = nn_model
-    dataset = features.build_dataset(logs)
-    n_cities = sum(len(l.foundings()) for l in logs)
+    cv_report, dataset = comparison.train_report, comparison.dataset
+    n_cities = sum(len(l.foundings()) for l in comparison.corpus)
     assert n_cities >= 300
     # mean-predictor baseline on the identical shuffled folds
     order = np.random.default_rng(0).permutation(len(dataset))
@@ -224,18 +187,18 @@ def test_criterion_6_nn_learning_sanity(nn_model):
     )
 
 
-def test_criterion_7_kb_rl_improves(kb_run):
+def test_criterion_7_kb_rl_improves(comparison):
     """300 fixed-map episodes: last-30 mean TGO >= 1.1x first-30 mean."""
-    tgo = np.asarray(kb_run.metrics.tgo)
+    tgo = np.asarray(comparison.arms["kb"].metrics.tgo)
     first, last = tgo[:30].mean(), tgo[-30:].mean()
     assert last >= 1.10 * first, (first, last)
     ok(7, f"mean TGO first30 {first:.0f} -> last30 {last:.0f} (+{(last / first - 1) * 100:.1f}%)")
 
 
-def test_criterion_8_comparison_pipeline(kb_run, nn_run):
+def test_criterion_8_comparison_pipeline(comparison):
     """Both arms on the identical fixed map; report shares sum to one."""
+    kb_run, nn_run, report = comparison.arms["kb"], comparison.arms["nn"], comparison.report
     assert kb_run.logs[0].map_text == nn_run.logs[0].map_text
-    report = compare(kb_run.metrics, nn_run.metrics, kb_run.logs, nn_run.logs)
     lines = report.summary_lines()
     assert any("improvement" in line for line in lines)
     for shares in (*report.center_shares.values(), *report.occupied_shares.values()):
@@ -248,11 +211,11 @@ def test_criterion_8_comparison_pipeline(kb_run, nn_run):
     )
 
 
-def test_criterion_9_explainability(kb_run, tmp_path, capsys):
+def test_criterion_9_explainability(comparison, tmp_path, capsys):
     """cmd_explain reproduces the additive trace of logged founding decisions."""
     checked = 0
     path = tmp_path / "episode.jsonl"
-    for log in kb_run.logs:
+    for log in comparison.arms["kb"].logs:
         for f in log.foundings():
             assert f.trace is not None
             points_sum = sum(fr["points"] for fr in f.trace["fired"])

@@ -91,6 +91,13 @@ def test_evaluate_placements_top1_is_exhaustive_max():
     assert top_center == min(best, key=lambda c: (c[1], c[0]))
 
 
+def test_evaluate_placements_orders_every_tie_by_y_then_x():
+    state = new_game(generate_map(MapGenConfig(), seed=2), GAME, seed=0)
+    ranked = evaluate_placements(rule_evaluator(epsilon=0.0), state, 0)
+    assert len({s for _, s in ranked}) < len(ranked)  # the rule scores tie
+    assert ranked == sorted(ranked, key=lambda cs: (-cs[1], cs[0][1], cs[0][0]))
+
+
 def test_evaluator_symmetry_constant_stubs():
     class StubA(ConstantEvaluator):
         kind = "stub_a"

@@ -238,16 +238,6 @@ def test_policy_epsilon_stays_in_bounds():
     assert policy.current_epsilon == 1.0
 
 
-def test_state_features_configurable_subset():
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=20), seed=0)
-    add_settler(state, 0, (5, 5))
-    found_city(state, 0, (5, 5))
-    vec = state_features(state, 0, names=("city_count", "turn"))
-    assert vec.tolist() == [1.0, 1.0]
-    with pytest.raises(ValueError):
-        state_features(state, 0, names=("not_a_feature",))
-
-
 # -- Monte Carlo updates ---------------------------------------------------------
 
 

@@ -1,0 +1,36 @@
+"""scripts/run_comparison.py end to end at tiny sizes: its `--out` directory
+holds what harness.run_comparison returns for the same sizes."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+from settlebench import harness, mlp
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_comparison.py")
+
+
+def test_script_writes_the_comparison_it_returns(tmp_path):
+    out = tmp_path / "cmp"
+    flags = ["--episodes", "4", "--bootstrap-episodes", "70", "--epochs", "3", "--turn-limit", "30"]
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--out", str(out), *flags], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    metrics_kb, logs_kb, _ = harness.load_run_dir(str(out / "kb"))
+    metrics_nn, logs_nn, _ = harness.load_run_dir(str(out / "nn"))
+    report = harness.compare(metrics_kb, metrics_nn, logs_kb, logs_nn)
+    summary = (out / "comparison" / "summary.txt").read_text()
+    assert summary == "\n".join(report.summary_lines()) + "\n"
+
+    run = harness.run_comparison(episodes=4, bootstrap_episodes=70, epochs=3, turn_limit=30)
+    assert metrics_kb.tgo == run.arms["kb"].metrics.tgo
+    assert metrics_nn.tgo == run.arms["nn"].metrics.tgo
+    assert report.summary_lines() == run.report.summary_lines()
+    assert "\n".join(run.report.summary_lines()) in proc.stdout
+    model, norm = mlp.load_model(str(out / "model.json"))
+    assert np.array_equal(model.flat, run.model.flat)
+    assert norm.to_dict() == run.normalization.to_dict()
