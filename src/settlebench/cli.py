@@ -227,8 +227,7 @@ def cmd_train_nn(args) -> int:
     folds = min(args.folds, len(dataset))
     if folds < 2:
         raise UsageError(f"dataset of {len(dataset)} entries is too small to cross-validate")
-    smallest_split = len(dataset) - (len(dataset) + folds - 1) // folds
-    batch_size = min(args.batch_size, max(1, smallest_split // 2))
+    batch_size = mlp.cv_batch_size(args.batch_size, len(dataset), folds)
     if batch_size != args.batch_size:
         print(f"batch size clamped to {batch_size} for {len(dataset)} entries")
     base = dict(epochs=args.epochs, batch_size=batch_size, seed=args.seed)

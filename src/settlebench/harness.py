@@ -42,8 +42,8 @@ class Evaluator:
 
     kind = "abstract"
 
-    def begin_episode(self, state: GameState) -> None:
-        pass
+    def end_episode(self, final_tgo: float) -> None:
+        """Called once after each episode, with its final TGO."""
 
     def score_many(self, state: GameState, player_id: int, centers) -> list[float]:
         raise NotImplementedError
@@ -87,7 +87,7 @@ class RuleEvaluator(Evaluator):
     applies that resolution to all scored centers, so a pass ranks the
     whole map under one coherent rule combination (scores vary from game
     to game, not tile to tile). One DecisionRecord per resolved family per
-    pass; the experiment credits them all with the episode's final TGO.
+    pass; end_episode credits them all with the episode's final TGO.
     """
 
     kind = "kb"
@@ -109,9 +109,11 @@ class RuleEvaluator(Evaluator):
         # the last pass: (map, scored centers, resolved choices)
         self._pass = None
 
-    def begin_episode(self, state):
+    def end_episode(self, final_tgo):
+        rl.update_from_episode(self.table, self.records, final_tgo)
         self.records = []
         self._pass = None
+        self.policy.advance_episode()
 
     def score_many(self, state, player_id, centers):
         state_id = rl.assign_state(self.cluster_model, rl.state_features(state, player_id))
@@ -124,11 +126,10 @@ class RuleEvaluator(Evaluator):
         matched = np.flatnonzero(mask.any(axis=0))
         for j in sorted(matched, key=lambda j: mask[:, j].argmax()):
             conflict_set = self.kb.families[self._families[j]]
-            probs = rl.selection_probabilities(self.table, self.policy, state_id, conflict_set)
-            rule, record = rl.choose(self.table, self.policy, state_id, conflict_set, turn=state.turn)
+            choice, record = rl.choose(self.table, self.policy, state_id, conflict_set, turn=state.turn)
             self.records.append(record)
-            resolved[conflict_set.family] = rulekb.RuleChoice(rule=rule, probabilities=probs)
-            points[j] = rule.points
+            resolved[conflict_set.family] = choice
+            points[j] = choice.rule.points
         self._pass = (state.map, centers, resolved)
         return [float(total) for total in mask @ points]
 
@@ -139,7 +140,7 @@ class RuleEvaluator(Evaluator):
         game_map, centers, resolved = self._pass
         if center not in centers:
             return None
-        return rulekb.score_cluster(self.kb, game_map, center, lambda cs: resolved[cs.family])[1]
+        return rulekb.score_cluster(self.kb, game_map, center, resolved)[1]
 
 
 class NnEvaluator(Evaluator):
@@ -383,7 +384,6 @@ def run_experiment(
         game_map = generate_map(config.mapgen, config.base_seed)
 
     evaluator: Evaluator
-    policy = None
     if config.evaluator == "kb":
         if cluster_model is None:
             _, points = bootstrap_corpus(
@@ -436,10 +436,7 @@ def run_experiment(
             mapgen=config.mapgen,
             evaluator_name=evaluator.kind,
         )
-        if isinstance(evaluator, RuleEvaluator):
-            rl.update_from_episode(evaluator.table, evaluator.records, log.final_tgo)
-            evaluator.begin_episode(None)
-            evaluator.policy.advance_episode()
+        evaluator.end_episode(log.final_tgo)
         metrics.record(log.final_tgo)
         logs.append(log)
         if (
@@ -634,11 +631,13 @@ def train_nn(
     folds: int = 10,
     cv_seed: int = 0,
 ) -> tuple[mlp.MlpModel, features.MinMaxNormalization, mlp.TrainReport]:
-    """CV assessment, then the final model trained on the whole dataset."""
+    """CV assessment, then the final model trained on the whole dataset; a
+    batch too large for the smallest CV split is cut to fit it."""
     if len(dataset) < 2:
         raise ValueError(f"only {len(dataset)} unique entries; not enough to train")
-    config = config or mlp.MlpConfig()
-    cv_report = mlp.kfold_cv(dataset, config, folds=min(folds, len(dataset)), seed=cv_seed)
+    config, folds = config or mlp.MlpConfig(), min(folds, len(dataset))
+    config = dataclasses.replace(config, batch_size=mlp.cv_batch_size(config.batch_size, len(dataset), folds))
+    cv_report = mlp.kfold_cv(dataset, config, folds=folds, seed=cv_seed)
     dataset.normalization = features.minmax_fit(dataset)
     model, train_report = mlp.train(dataset, config)
     train_report.fold_mses = cv_report.fold_mses
@@ -677,11 +676,14 @@ def run_comparison(
     epsilon: float = 0.1, epochs: int = 60, window: int | None = None, out_dir: str | None = None,
 ) -> ComparisonRun:
     """The experiment on the fixed map of `seed`: random-agent corpus, regressor, kb and nn arms,
-    comparison. With `out_dir`, writes map.txt, dataset.csv, model.json, kb/, nn/ and comparison/."""
-    game, mapgen = engine.GameConfig(turn_limit=turn_limit), MapGenConfig()
+    comparison. With `out_dir`, writes map.txt, dataset.csv, model.json, kb/, nn/ and comparison/.
+    The kb arm's warmup episodes are the corpus's first ones (the same seeds), played once for both."""
+    game, mapgen, rl_config = GameConfig(turn_limit=turn_limit), MapGenConfig(), RlConfig(epsilon=epsilon)
     game_map = generate_map(mapgen, seed)
     t0 = time.perf_counter()
-    corpus, _ = bootstrap_corpus(game, mapgen, seed, bootstrap_episodes, game_map=game_map)
+    warmup = rl_config.warmup_episodes
+    logs, points = bootstrap_corpus(game, mapgen, seed, max(bootstrap_episodes, warmup), game_map=game_map)
+    corpus, warmup_points = logs[:bootstrap_episodes], points[: sum(len(log.turns) for log in logs[:warmup])]
     seconds = {"corpus": time.perf_counter() - t0}
     dataset = features.build_dataset(corpus)
     if out_dir is not None:  # the dataset is written before training fits its normalization
@@ -695,9 +697,11 @@ def run_comparison(
     arms = {}
     for arm in ("kb", "nn"):
         config = ExperimentConfig(evaluator=arm, episodes=episodes, base_seed=seed, game=game, mapgen=mapgen,
-                                  rl=RlConfig(epsilon=epsilon), metrics_window=window)
+                                  rl=rl_config, metrics_window=window)
         t0 = time.perf_counter()
+        clusters = fit_state_clusters(warmup_points, rl_config) if arm == "kb" else None
         arms[arm] = run_experiment(config, game_map=game_map, nn=(model, norm) if arm == "nn" else None,
+                                   cluster_model=clusters,
                                    out_dir=None if out_dir is None else os.path.join(out_dir, arm))
         seconds[arm] = time.perf_counter() - t0
     report = compare(arms["kb"].metrics, arms["nn"].metrics, arms["kb"].logs, arms["nn"].logs)

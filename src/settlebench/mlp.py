@@ -279,6 +279,13 @@ def train(dataset: Dataset, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
     return model, report
 
 
+def cv_batch_size(batch_size: int, rows: int, folds: int) -> int:
+    """`batch_size`, cut to half the smallest training split of a `folds`-fold
+    CV over `rows` rows where that split is too small for it to train."""
+    smallest_split = rows - (rows + folds - 1) // folds
+    return min(batch_size, max(1, smallest_split // 2))
+
+
 def kfold_cv(dataset: Dataset, config: MlpConfig, folds: int = 10, seed: int = 0) -> TrainReport:
     """Shuffled k-fold CV; normalization is fitted on each training split only.
 

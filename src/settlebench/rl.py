@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import GameState, total_game_output
 from .features import minmax_scale
-from .rulekb import FAMILY_IDS, WATER_ACCESS, ConflictSet, ScoringRule
+from .rulekb import FAMILY_IDS, WATER_ACCESS, ConflictSet, RuleChoice, ScoringRule
 from .world import cluster_in_bounds, cluster_table
 from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
@@ -226,24 +226,24 @@ def choose(
     state_id: int,
     conflict_set: ConflictSet,
     turn: int = 0,
-) -> tuple[ScoringRule, DecisionRecord]:
-    """Epsilon-greedy rule selection with a decision record for credit assignment."""
+) -> tuple[RuleChoice, DecisionRecord]:
+    """Epsilon-greedy rule selection: the rule drawn with the probabilities it
+    was drawn under, and a decision record for credit assignment."""
     if not conflict_set.rules:
         raise ValueError(f"conflict set {conflict_set.family!r} is empty")
+    rule = greedy = greedy_rule(table, state_id, conflict_set)
     eps = policy.current_epsilon
     if eps > 0 and policy.rng.random() < eps:
         rule = conflict_set.by_id[policy.rng.randrange(len(conflict_set.by_id))]
-    else:
-        rule = greedy_rule(table, state_id, conflict_set)
-    return rule, DecisionRecord(state_id=state_id, family=conflict_set.family, rule_id=rule.id, turn=turn)
+    choice = RuleChoice(rule=rule, probabilities=selection_probabilities(policy, conflict_set, greedy))
+    return choice, DecisionRecord(state_id=state_id, family=conflict_set.family, rule_id=rule.id, turn=turn)
 
 
 def selection_probabilities(
-    table: ValueTable, policy: Policy, state_id: int, conflict_set: ConflictSet
+    policy: Policy, conflict_set: ConflictSet, greedy: ScoringRule
 ) -> dict[str, float]:
-    """Probability of each alternative under the current policy."""
+    """Probability of each alternative under the current policy, given its greedy rule."""
     n = len(conflict_set.rules)
-    greedy = greedy_rule(table, state_id, conflict_set)
     eps = policy.current_epsilon
     return {
         r.id: (1.0 - eps) + eps / n if r.id == greedy.id else eps / n

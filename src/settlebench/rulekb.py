@@ -11,8 +11,8 @@ independently of the others.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
@@ -58,11 +58,10 @@ class ScoreTrace:
 
 @dataclass(frozen=True)
 class RuleChoice:
+    # a resolved conflict set: the rule drawn, and each alternative's probability when it was drawn
     rule: ScoringRule
     probabilities: dict[str, float]
 
-
-Chooser = Callable[[ConflictSet], Union[ScoringRule, RuleChoice]]
 
 TERRAIN_FAMILIES = {kind: f"terrain_{kind.value.lower()}" for kind in BUILDABLE_TERRAINS}
 
@@ -171,18 +170,16 @@ def match_rules(kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int]) -
 
 
 def score_cluster(
-    kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int], chooser: Chooser
+    kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int], resolved: Mapping[str, RuleChoice]
 ) -> tuple[int, ScoreTrace]:
-    """Total of the chosen rule per applicable family, with a full trace."""
+    """Total of the resolved rule per applicable family, with a full trace."""
     fired = []
     total = 0
     for conflict_set in match_rules(kb, game_map, center):
-        choice = chooser(conflict_set)
-        if isinstance(choice, ScoringRule):
-            choice = RuleChoice(rule=choice, probabilities={choice.id: 1.0})
+        choice = resolved[conflict_set.family]
         if choice.rule not in conflict_set.rules:
             raise ValueError(
-                f"chooser returned {choice.rule.id!r}, not a member of family {conflict_set.family!r}"
+                f"resolved rule {choice.rule.id!r} is not a member of family {conflict_set.family!r}"
             )
         total += choice.rule.points
         fired.append(
@@ -198,23 +195,6 @@ def score_cluster(
             )
         )
     return total, ScoreTrace(fired=tuple(fired), total=total)
-
-
-def max_points_chooser(conflict_set: ConflictSet) -> ScoringRule:
-    return max(conflict_set.rules, key=lambda r: (r.points, r.id))
-
-
-def fixed_chooser(selection: dict[str, str]) -> Chooser:
-    """Chooser picking the named rule id per family."""
-
-    def choose(conflict_set: ConflictSet) -> ScoringRule:
-        wanted = selection[conflict_set.family]
-        for r in conflict_set.rules:
-            if r.id == wanted:
-                return r
-        raise KeyError(f"{wanted!r} not in family {conflict_set.family!r}")
-
-    return choose
 
 
 def explain(trace: ScoreTrace) -> list[str]:

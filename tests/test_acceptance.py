@@ -95,12 +95,12 @@ def test_criterion_3_epsilon_greedy():
     best = fam.rules[-1].id
 
     greedy = rl.Policy(epsilon=0.0, seed=3)
-    assert all(rl.choose(table, greedy, 0, fam)[0].id == best for _ in range(100))
+    assert all(rl.choose(table, greedy, 0, fam)[0].rule.id == best for _ in range(100))
 
     uniform = rl.Policy(epsilon=1.0, seed=3)
     counts = {r.id: 0 for r in fam.rules}
     for _ in range(10_000):
-        counts[rl.choose(table, uniform, 0, fam)[0].id] += 1
+        counts[rl.choose(table, uniform, 0, fam)[0].rule.id] += 1
     frequencies = {rid: n / 10_000 for rid, n in counts.items()}
     assert all(0.23 <= f <= 0.27 for f in frequencies.values()), frequencies
     ok(3, f"argmax 100/100; uniform frequencies {sorted(frequencies.values())}")

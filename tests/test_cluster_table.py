@@ -31,7 +31,6 @@ from settlebench.rulekb import (
     TERRAIN_FAMILIES,
     WATER_ACCESS,
     WHALE_PRESENCE,
-    RuleChoice,
     default_kb,
     match_rules,
     score_cluster,
@@ -191,18 +190,15 @@ def test_table_features_match_tile_by_tile_counts(state, player):
 
 
 def reference_pass(state, centers, table, policy):
-    """The per-center pass: score every cluster, resolving each family on first sight."""
+    """The per-center pass: resolve each family on first sight, then score every cluster."""
     records, resolved = [], {}
-
-    def chooser(conflict_set):
-        if conflict_set.family not in resolved:
-            probs = rl.selection_probabilities(table, policy, 0, conflict_set)
-            rule, record = rl.choose(table, policy, 0, conflict_set, turn=state.turn)
-            records.append(record)
-            resolved[conflict_set.family] = RuleChoice(rule=rule, probabilities=probs)
-        return resolved[conflict_set.family]
-
-    traces = [score_cluster(KB, state.map, c, chooser)[1] for c in centers]
+    for center in centers:
+        for conflict_set in match_rules(KB, state.map, center):
+            if conflict_set.family not in resolved:
+                choice, record = rl.choose(table, policy, 0, conflict_set, turn=state.turn)
+                resolved[conflict_set.family] = choice
+                records.append(record)
+    traces = [score_cluster(KB, state.map, c, resolved)[1] for c in centers]
     return traces, records
 
 

@@ -128,6 +128,23 @@ def test_rule_evaluator_emits_records_and_traces():
     assert sum(fr.points for fr in trace.fired) == trace.total
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_rule_evaluator_asks_for_each_greedy_rule_once(monkeypatch, epsilon):
+    calls = []
+    greedy_rule = rl.greedy_rule
+
+    def counted(table, state_id, conflict_set):
+        calls.append(conflict_set.family)
+        return greedy_rule(table, state_id, conflict_set)
+
+    monkeypatch.setattr(rl, "greedy_rule", counted)
+    evaluator = rule_evaluator(epsilon=epsilon)
+    engine.run_episode(SettlementAgent(evaluator), GAME, 3, game_map=generate_map(MapGenConfig(), seed=2))
+    # every resolved family of every pass left one record
+    assert len(evaluator.records) > 10
+    assert calls == [record.family for record in evaluator.records]
+
+
 def test_rule_evaluator_epsilon_zero_deterministic():
     config = small_experiment(episodes=2)
     config.rl.epsilon = 0.0

@@ -146,23 +146,23 @@ def test_choose_greedy_argmax():
     table.q[(0, FAMILY.family, FAMILY.rules[2].id)] = RunningMean(count=1, mean=20.0)
     policy = Policy(epsilon=0.0, seed=1)
     for _ in range(100):
-        rule, record = choose(table, policy, 0, FAMILY, turn=3)
-        assert rule.id == FAMILY.rules[2].id
-        assert record == DecisionRecord(state_id=0, family=FAMILY.family, rule_id=rule.id, turn=3)
+        choice, record = choose(table, policy, 0, FAMILY, turn=3)
+        assert choice.rule.id == FAMILY.rules[2].id
+        assert record == DecisionRecord(state_id=0, family=FAMILY.family, rule_id=choice.rule.id, turn=3)
 
 
 def test_choose_unvisited_first_lowest_id():
     policy = Policy(epsilon=0.0, seed=1)
-    rule, _ = choose(ValueTable(), policy, 0, FAMILY)
-    assert rule.id == min(r.id for r in FAMILY.rules)
+    choice, _ = choose(ValueTable(), policy, 0, FAMILY)
+    assert choice.rule.id == min(r.id for r in FAMILY.rules)
 
 
 def test_unvisited_outranks_visited():
     table = seeded_table({FAMILY.rules[0].id: 1e9})
     policy = Policy(epsilon=0.0, seed=1)
-    rule, _ = choose(table, policy, 0, FAMILY)
+    choice, _ = choose(table, policy, 0, FAMILY)
     # rules 1..3 are unvisited, so the lowest-id unvisited one wins over the huge visited mean
-    assert rule.id == FAMILY.rules[1].id
+    assert choice.rule.id == FAMILY.rules[1].id
 
 
 def test_choose_epsilon_one_is_uniform():
@@ -170,8 +170,8 @@ def test_choose_epsilon_one_is_uniform():
     policy = Policy(epsilon=1.0, seed=123)
     counts = {r.id: 0 for r in FAMILY.rules}
     for _ in range(10_000):
-        rule, _ = choose(table, policy, 0, FAMILY)
-        counts[rule.id] += 1
+        choice, _ = choose(table, policy, 0, FAMILY)
+        counts[choice.rule.id] += 1
     for rid, n in counts.items():
         assert 0.23 <= n / 10_000 <= 0.27, (rid, n)
 
@@ -187,7 +187,7 @@ def test_draws_and_ties_go_by_rule_id_whatever_the_rule_order():
     policy, draws = Policy(epsilon=1.0, seed=7), random.Random(7)
     for _ in range(20):
         draws.random()
-        assert choose(ValueTable(), policy, 0, family)[0] == by_id[draws.randrange(len(rules))]
+        assert choose(ValueTable(), policy, 0, family)[0].rule == by_id[draws.randrange(len(rules))]
 
 
 def test_choose_empty_set_rejected():
@@ -201,10 +201,12 @@ def test_choose_empty_set_rejected():
 def test_selection_probabilities_sum_to_one():
     table = seeded_table({r.id: float(i) for i, r in enumerate(FAMILY.rules)})
     policy = Policy(epsilon=0.3, seed=0)
-    probs = selection_probabilities(table, policy, 0, FAMILY)
-    assert sum(probs.values()) == pytest.approx(1.0)
     greedy = greedy_rule(table, 0, FAMILY)
+    probs = selection_probabilities(policy, FAMILY, greedy)
+    assert sum(probs.values()) == pytest.approx(1.0)
     assert probs[greedy.id] == pytest.approx(0.7 + 0.3 / 4)
+    # choose draws under exactly these probabilities
+    assert choose(table, policy, 0, FAMILY)[0].probabilities == probs
 
 
 def test_exploration_guarantee():
@@ -214,8 +216,8 @@ def test_exploration_guarantee():
     episodes = int(10 * len(FAMILY.rules) / policy.epsilon)  # 400
     seen = set()
     for _ in range(episodes):
-        rule, _ = choose(table, policy, 0, FAMILY)
-        seen.add(rule.id)
+        choice, _ = choose(table, policy, 0, FAMILY)
+        seen.add(choice.rule.id)
     assert seen == {r.id for r in FAMILY.rules}
 
 

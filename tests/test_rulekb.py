@@ -8,11 +8,10 @@ from conftest import flat_map
 from settlebench.rulekb import (
     DEFAULT_POINT_TABLE,
     KnowledgeBase,
+    RuleChoice,
     default_kb,
     explain,
-    fixed_chooser,
     match_rules,
-    max_points_chooser,
     score_cluster,
     trace_from_dict,
     trace_to_dict,
@@ -20,6 +19,31 @@ from settlebench.rulekb import (
 from settlebench.world import MapGenConfig, SpecialKind, TerrainKind, generate_map
 
 KB = default_kb()
+
+
+def resolved(rules):
+    """A resolution that drew each of `rules` with probability 1.0, keyed by family."""
+    return {r.family: RuleChoice(rule=r, probabilities={r.id: 1.0}) for r in rules}
+
+
+def max_points(kb):
+    return resolved(max(cs.rules, key=lambda r: (r.points, r.id)) for cs in kb.families.values())
+
+
+def alternative(kb, alt):
+    return resolved(cs.rules[alt] for cs in kb.families.values())
+
+
+RULES = {r.id: r for cs in KB.families.values() for r in cs.rules}
+WORKED_EXAMPLE = resolved(
+    RULES[rule_id]
+    for rule_id in (
+        "special_on_center_alt1",  # +10
+        "specials_around_alt1",  # +9
+        "terrain_grassland_alt3",  # +8
+        "water_access_alt1",  # +0
+    )
+)
 
 
 def grass_site():
@@ -103,21 +127,13 @@ def test_exactly_one_center_terrain_family(seed):
 
 def test_score_cluster_empty_when_no_family_applies():
     kb = KnowledgeBase({"terrain_desert": (-10, -5, -2, 0)})
-    score, trace = score_cluster(kb, *grass_site(), max_points_chooser)
+    score, trace = score_cluster(kb, *grass_site(), max_points(kb))
     assert score == 0
     assert trace.fired == ()
 
 
 def test_worked_example_sums_to_27():
-    chooser = fixed_chooser(
-        {
-            "special_on_center": "special_on_center_alt1",  # +10
-            "specials_around": "specials_around_alt1",  # +9
-            "terrain_grassland": "terrain_grassland_alt3",  # +8
-            "water_access": "water_access_alt1",  # +0
-        }
-    )
-    score, trace = score_cluster(KB, *fig_style_site(), chooser)
+    score, trace = score_cluster(KB, *fig_style_site(), WORKED_EXAMPLE)
     assert score == 27
     assert trace.total == 27
     assert sum(fr.points for fr in trace.fired) == 27
@@ -126,7 +142,7 @@ def test_worked_example_sums_to_27():
 
 def test_max_chooser_equals_family_maxima():
     site = fig_style_site()
-    score, _ = score_cluster(KB, *site, max_points_chooser)
+    score, _ = score_cluster(KB, *site, max_points(KB))
     expected = sum(max(r.points for r in cs.rules) for cs in match_rules(KB, *site))
     assert score == expected
 
@@ -134,12 +150,12 @@ def test_max_chooser_equals_family_maxima():
 def test_chooser_must_return_member():
     alien = KB.family("terrain_desert").rules[0]
     with pytest.raises(ValueError):
-        score_cluster(KB, *grass_site(), lambda cs: alien)
+        score_cluster(KB, *grass_site(), {"terrain_grassland": RuleChoice(rule=alien, probabilities={})})
 
 
 def test_trace_families_equal_match_rules():
     site = fig_style_site()
-    _, trace = score_cluster(KB, *site, max_points_chooser)
+    _, trace = score_cluster(KB, *site, max_points(KB))
     assert [fr.family for fr in trace.fired] == [cs.family for cs in match_rules(KB, *site)]
 
 
@@ -148,12 +164,11 @@ def test_trace_families_equal_match_rules():
 def test_independence_of_family_contributions(alt, seed):
     game_map = generate_map(MapGenConfig(width=12, height=12, special_frequency=0.3), seed)
     site = (game_map, (5, 5))
-    chooser = lambda cs: cs.rules[alt]
-    total, trace = score_cluster(KB, *site, chooser)
+    total, trace = score_cluster(KB, *site, alternative(KB, alt))
     isolated = 0
     for cs in match_rules(KB, *site):
         solo = KnowledgeBase({cs.family: tuple(r.points for r in cs.rules)})
-        part, _ = score_cluster(solo, *site, chooser)
+        part, _ = score_cluster(solo, *site, alternative(solo, alt))
         isolated += part
     assert total == isolated == trace.total
 
@@ -161,7 +176,6 @@ def test_independence_of_family_contributions(alt, seed):
 def test_scaling_preserves_ranking():
     game_map = generate_map(MapGenConfig(special_frequency=0.3), seed=4)
     centers = [(x, y) for x, y in itertools.product(range(2, 18, 3), range(2, 18, 3))]
-    chooser = lambda cs: cs.rules[1]
     halved = {
         "terrain_grassland": (1, 2, 4, 6),
         "terrain_plains": (1, 2, 3, 5),
@@ -182,7 +196,7 @@ def test_scaling_preserves_ranking():
     scaled = KnowledgeBase({f: tuple(3 * p for p in points) for f, points in halved.items()})
 
     def ranking(kb):
-        scores = [(score_cluster(kb, game_map, c, chooser)[0], c) for c in centers]
+        scores = [(score_cluster(kb, game_map, c, alternative(kb, 1))[0], c) for c in centers]
         return [c for _, c in sorted(scores, key=lambda sc: (-sc[0], sc[1][1], sc[1][0]))]
 
     assert ranking(base) == ranking(scaled)
@@ -190,20 +204,12 @@ def test_scaling_preserves_ranking():
 
 def test_explain_empty_trace():
     kb = KnowledgeBase({"terrain_desert": (-10, -5, -2, 0)})
-    _, trace = score_cluster(kb, *grass_site(), max_points_chooser)
+    _, trace = score_cluster(kb, *grass_site(), max_points(kb))
     assert explain(trace) == ["no rules fired"]
 
 
 def test_explain_worked_example():
-    chooser = fixed_chooser(
-        {
-            "special_on_center": "special_on_center_alt1",
-            "specials_around": "specials_around_alt1",
-            "terrain_grassland": "terrain_grassland_alt3",
-            "water_access": "water_access_alt1",
-        }
-    )
-    _, trace = score_cluster(KB, *fig_style_site(), chooser)
+    _, trace = score_cluster(KB, *fig_style_site(), WORKED_EXAMPLE)
     lines = explain(trace)
     assert len(lines) == len(trace.fired) + 1
     assert lines[-1] == "total: 27"
@@ -214,7 +220,7 @@ def test_explain_worked_example():
 
 
 def test_trace_dict_round_trip():
-    _, trace = score_cluster(KB, *fig_style_site(), max_points_chooser)
+    _, trace = score_cluster(KB, *fig_style_site(), max_points(KB))
     assert trace_from_dict(trace_to_dict(trace)) == trace
 
 

@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from settlebench import harness, mlp
+from settlebench import features, harness, mlp
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_comparison.py")
 
@@ -34,3 +35,28 @@ def test_script_writes_the_comparison_it_returns(tmp_path):
     model, norm = mlp.load_model(str(out / "model.json"))
     assert np.array_equal(model.flat, run.model.flat)
     assert norm.to_dict() == run.normalization.to_dict()
+
+
+def test_a_corpus_too_small_for_the_default_batch_trains_on_a_clamped_one(tmp_path):
+    out = tmp_path / "cmp"
+    flags = ["--episodes", "4", "--bootstrap-episodes", "20", "--epochs", "3", "--turn-limit", "30"]
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--out", str(out), *flags], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    model, _ = mlp.load_model(str(out / "model.json"))
+    rows = len(features.read_dataset_csv(str(out / "dataset.csv")))
+    # the smallest of 10 CV training splits has 24 rows, too few for batches of 30
+    assert rows - -(-rows // 10) == 24
+    assert model.config.batch_size == mlp.cv_batch_size(30, rows, 10) == 12
+
+
+@pytest.mark.parametrize("bootstrap_episodes", [20, 70])
+def test_kb_arm_equals_a_run_that_plays_its_own_warmup(bootstrap_episodes):
+    run = harness.run_comparison(episodes=4, bootstrap_episodes=bootstrap_episodes, epochs=3, turn_limit=30)
+    kb = run.arms["kb"]
+    alone = harness.run_experiment(kb.config, game_map=run.game_map)
+    assert len(run.corpus) == bootstrap_episodes
+    assert kb.metrics.tgo == alone.metrics.tgo
+    assert kb.table == alone.table
+    assert np.array_equal(kb.cluster_model.centroids, alone.cluster_model.centroids)
