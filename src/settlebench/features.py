@@ -99,7 +99,6 @@ class MinMaxNormalization:
 @dataclass
 class Dataset:
     entries: list[DatasetEntry] = field(default_factory=list)
-    layout: FeatureLayout = LAYOUT
     normalization: MinMaxNormalization | None = None
 
     def __len__(self) -> int:
@@ -192,7 +191,7 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
         writer.writerow([*COLUMNS, "label"])
         for e in dataset.entries:
             writer.writerow([_fmt(v) for v in e.features] + [_fmt(e.label)])
-    meta = {"layout_version": dataset.layout.version, "columns": list(COLUMNS)}
+    meta = {"layout_version": LAYOUT.version, "columns": list(COLUMNS)}
     if dataset.normalization is not None:
         meta["normalization"] = dataset.normalization.to_dict()
     with open(str(path) + ".meta.json", "w") as fh:

@@ -113,7 +113,6 @@ class RuleEvaluator(Evaluator):
         rl.update_from_episode(self.table, self.records, final_tgo)
         self.records = []
         self._pass = None
-        self.policy.advance_episode()
 
     def score_many(self, state, player_id, centers):
         state_id = rl.assign_state(self.cluster_model, rl.state_features(state, player_id))
@@ -252,13 +251,6 @@ def default_window(episodes: int) -> int:
     return max(1, episodes // 10)
 
 
-def metrics_from_logs(logs: list[EpisodeLog], window: int) -> RunMetrics:
-    metrics = RunMetrics(window=window)
-    for log in logs:
-        metrics.record(log.final_tgo)
-    return metrics
-
-
 def export_metrics_csv(metrics: RunMetrics, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -294,10 +286,12 @@ class RlConfig:
     k: int = 32
     warmup_episodes: int = 50
     epsilon: float = 0.1
-    epsilon_decay: float = 1.0
-    min_epsilon: float = 0.0
-    kmeans_seed: int = 0
-    max_kmeans_iter: int = 300
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.warmup_episodes < 1:
+            raise ValueError(f"warmup_episodes must be >= 1, got {self.warmup_episodes}")
 
 
 @dataclass
@@ -311,8 +305,6 @@ class ExperimentConfig:
     rl: RlConfig = field(default_factory=RlConfig)
     metrics_window: int | None = None
     model_path: str | None = None
-    # nn arm: retrain on corpus + own logs every N episodes (0 = frozen model)
-    nn_retrain_interval: int = 0
 
     def window(self) -> int:
         return self.metrics_window or default_window(self.episodes)
@@ -362,7 +354,7 @@ def bootstrap_corpus(
 
 def fit_state_clusters(points: np.ndarray, rl_config: RlConfig) -> rl.ClusterModel:
     k = min(rl_config.k, len(points))
-    return rl.kmeans_fit(points, k=k, max_iter=rl_config.max_kmeans_iter, seed=rl_config.kmeans_seed)
+    return rl.kmeans_fit(points, k=k)
 
 
 def run_experiment(
@@ -370,8 +362,6 @@ def run_experiment(
     *,
     game_map: GameMap | None = None,
     nn: tuple[mlp.MlpModel, features.MinMaxNormalization] | None = None,
-    nn_corpus: list[EpisodeLog] | None = None,
-    nn_train_config: mlp.MlpConfig | None = None,
     cluster_model: rl.ClusterModel | None = None,
     table: rl.ValueTable | None = None,
     out_dir: str | None = None,
@@ -385,6 +375,8 @@ def run_experiment(
 
     evaluator: Evaluator
     if config.evaluator == "kb":
+        # built first, so that a bad epsilon is refused before the warmup is played
+        policy = rl.Policy(epsilon=config.rl.epsilon, seed=episode_seed(config.base_seed, 0, "policy"))
         if cluster_model is None:
             _, points = bootstrap_corpus(
                 config.game,
@@ -403,12 +395,6 @@ def run_experiment(
                     "epsilon": str(config.rl.epsilon),
                 }
             )
-        policy = rl.Policy(
-            epsilon=config.rl.epsilon,
-            seed=episode_seed(config.base_seed, 0, "policy"),
-            decay=config.rl.epsilon_decay,
-            min_epsilon=config.rl.min_epsilon,
-        )
         evaluator = RuleEvaluator(rulekb.default_kb(), cluster_model, table, policy)
     elif config.evaluator == "nn":
         if nn is None:
@@ -439,16 +425,6 @@ def run_experiment(
         evaluator.end_episode(log.final_tgo)
         metrics.record(log.final_tgo)
         logs.append(log)
-        if (
-            isinstance(evaluator, NnEvaluator)
-            and config.nn_retrain_interval > 0
-            and (i + 1) % config.nn_retrain_interval == 0
-            and i + 1 < config.episodes
-        ):
-            model, norm, _ = train_nn_from_logs(
-                (nn_corpus or []) + logs, config=nn_train_config, folds=2
-            )
-            evaluator.model, evaluator.normalization = model, norm
 
     result = ExperimentResult(
         config=config,

@@ -38,8 +38,6 @@ class MlpConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    # stop after this many epochs without training-loss improvement; 0 = off
-    early_stop_patience: int = 0
 
     def __post_init__(self):
         if self.input_dim < 1 or any(h < 1 for h in self.hidden):
@@ -48,6 +46,8 @@ class MlpConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def flat_size(config: MlpConfig) -> int:
@@ -255,7 +255,6 @@ def train(dataset: Dataset, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
     grads = Gradients(np.empty_like(model.flat), config)
     report = TrainReport()
     t = 0
-    best_loss, stale = np.inf, 0
     for _ in range(config.epochs):
         order = rng.permutation(n)
         losses = []
@@ -267,15 +266,7 @@ def train(dataset: Dataset, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
             backward(model, cache, yb, out=grads)
             t += 1
             adam_step(model, grads, state, t)
-        epoch_loss = float(sum(losses) / n)
-        report.epoch_losses.append(epoch_loss)
-        if config.early_stop_patience > 0:
-            if epoch_loss < best_loss:
-                best_loss, stale = epoch_loss, 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
+        report.epoch_losses.append(float(sum(losses) / n))
     return model, report
 
 
@@ -301,7 +292,7 @@ def kfold_cv(dataset: Dataset, config: MlpConfig, folds: int = 10, seed: int = 0
     for i in range(folds):
         val_idx = parts[i]
         train_idx = np.concatenate([parts[j] for j in range(folds) if j != i])
-        train_ds = Dataset(entries=[dataset.entries[j] for j in train_idx], layout=dataset.layout)
+        train_ds = Dataset(entries=[dataset.entries[j] for j in train_idx])
         train_ds.normalization = minmax_fit(train_ds)
         model, _ = train(train_ds, config)
         xv = minmax_apply(train_ds.normalization, np.asarray([dataset.entries[j].features for j in val_idx]))

@@ -172,20 +172,11 @@ class DecisionRecord:
 class Policy:
     epsilon: float = 0.1
     seed: int = 0
-    decay: float = 1.0
-    min_epsilon: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.decay < 0 or not 0.0 <= self.min_epsilon <= 1.0:
-            raise ValueError("invalid epsilon schedule")
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         self.rng = random.Random(self.seed)
-        self.current_epsilon = self.epsilon
-
-    def advance_episode(self) -> None:
-        # epsilon stays within [min_epsilon, 1] whatever the schedule
-        self.current_epsilon = min(1.0, max(self.min_epsilon, self.current_epsilon * self.decay))
 
 
 class ValueTable:
@@ -232,7 +223,7 @@ def choose(
     if not conflict_set.rules:
         raise ValueError(f"conflict set {conflict_set.family!r} is empty")
     rule = greedy = greedy_rule(table, state_id, conflict_set)
-    eps = policy.current_epsilon
+    eps = policy.epsilon
     if eps > 0 and policy.rng.random() < eps:
         rule = conflict_set.by_id[policy.rng.randrange(len(conflict_set.by_id))]
     choice = RuleChoice(rule=rule, probabilities=selection_probabilities(policy, conflict_set, greedy))
@@ -242,9 +233,9 @@ def choose(
 def selection_probabilities(
     policy: Policy, conflict_set: ConflictSet, greedy: ScoringRule
 ) -> dict[str, float]:
-    """Probability of each alternative under the current policy, given its greedy rule."""
+    """Probability of each alternative under the policy, given its greedy rule."""
     n = len(conflict_set.rules)
-    eps = policy.current_epsilon
+    eps = policy.epsilon
     return {
         r.id: (1.0 - eps) + eps / n if r.id == greedy.id else eps / n
         for r in conflict_set.rules

@@ -26,7 +26,7 @@ GAME = engine.GameConfig(turn_limit=40)
 
 MAP_DIGEST = "df4007ecbdf5fc52b8f3748975d9022b22e10a422cd961af72c60fb6b558b97b"
 KB_DIGESTS = {
-    "config.json": "c74b733a4fe2d9d8e434ad161195fe7fce0609149bb7c8aeb1d19f6fcd9d8c83",
+    "config.json": "44a76c4f23c5a2480d1e4d14fa3015e45da95e1ffd8156079ce0a7a0689716bd",
     "logs/episode_00000.jsonl": "7b5d9d16280f1187d8052d09994b449fa821c56cc614cdaff84bef3e90f73051",
     "logs/episode_00001.jsonl": "fdd821fa628d27e5155b33c37dc68c49890e610d434df883fdbb9c0cae5c13da",
     "logs/episode_00002.jsonl": "f39af79b7b8c958367f99f9526e1b9f6ce75d71f9034b0e9874222afef092341",
@@ -37,7 +37,7 @@ KB_DIGESTS = {
 }
 MODEL_DIGEST = "24a692fee59860106708998c0ef015aacbe3e9d3709fee30810333b84bf558e5"
 NN_DIGESTS = {
-    "config.json": "5f673ab3cfceb129208cc4006c8984485fe597def7f5467842310b9f5f9cf240",
+    "config.json": "10580268b42d76e278e6dabdf4fd4e13b24ba396252a5b67eaea6a2ae62eff48",
     "logs/episode_00000.jsonl": "882cf9e00e34b3e0bdf75f79903815b46c4fe2fecb2ad9f7236301b4fbecc494",
     "logs/episode_00001.jsonl": "6aab8d0ade5505322eef9623789439e98d019058d36cf371dfae1db02fc05c29",
     "logs/episode_00002.jsonl": "d87fb03c2bc1012f0393d92c937735397e35ccf0c97a817cf8f1d738b4052935",

@@ -22,7 +22,6 @@ from settlebench.harness import (
     experiment_config_to_dict,
     export_metrics_csv,
     load_run_dir,
-    metrics_from_logs,
     read_metrics_csv,
     run_experiment,
 )
@@ -198,10 +197,9 @@ def test_experiment_config_round_trips_exactly():
         fixed_map=False,
         game=GameConfig(turn_limit=45, trade_split=(0.25, 0.25, 0.5), start_position=(6, 7)),
         mapgen=MapGenConfig(width=16, terrain_weights=(("Grassland", 3.0), ("Desert", 0.5))),
-        rl=RlConfig(k=5, epsilon=0.2, epsilon_decay=0.99),
+        rl=RlConfig(k=5, epsilon=0.2),
         metrics_window=3,
         model_path="model.json",
-        nn_retrain_interval=4,
     )
     for source in (config, ExperimentConfig()):
         d = experiment_config_to_dict(source)
@@ -209,12 +207,34 @@ def test_experiment_config_round_trips_exactly():
         assert experiment_config_from_dict(json.loads(json.dumps(d))) == source
 
 
+@pytest.mark.parametrize("section, key", [("rl", "epsilon_decay"), (None, "nn_retrain_interval")])
+def test_config_naming_a_removed_field_is_refused(section, key):
+    d = experiment_config_to_dict(ExperimentConfig())
+    (d[section] if section else d)[key] = 0
+    with pytest.raises(TypeError, match=key):
+        experiment_config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "rl_config, message",
+    [
+        (dict(k=0), "k must be >= 1, got 0"),
+        (dict(warmup_episodes=0), "warmup_episodes must be >= 1, got 0"),
+        (dict(epsilon=1.5), r"epsilon must lie in \[0, 1\], got 1.5"),
+    ],
+)
+def test_bad_rl_sizes_are_refused_before_any_episode(monkeypatch, rl_config, message):
+    played = []
+    monkeypatch.setattr(engine, "run_episode", lambda *args, **kwargs: played.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(dataclasses.replace(small_experiment(), rl=RlConfig(**rl_config)))
+    assert played == []
+
+
 def test_metrics_from_logs_equals_live(tmp_path):
     config = small_experiment(evaluator="random", episodes=3)
     result = run_experiment(config, out_dir=str(tmp_path / "run"))
-    recomputed = metrics_from_logs(result.logs, window=result.metrics.window)
-    assert recomputed.tgo == result.metrics.tgo
-    assert recomputed.running_avg == result.metrics.running_avg
+    assert [log.final_tgo for log in result.logs] == result.metrics.tgo
     # and the persisted CSV round-trips
     loaded = read_metrics_csv(tmp_path / "run" / "metrics.csv")
     assert loaded.tgo == result.metrics.tgo
@@ -255,15 +275,6 @@ def test_nn_arm_and_periodic_retraining(bootstrap_corpus):
     assert len(frozen.metrics.tgo) == 2
     # frozen model on a fixed map plays identically every episode
     assert frozen.metrics.tgo[0] == frozen.metrics.tgo[1]
-
-    config = small_experiment(evaluator="nn", episodes=2, nn_retrain_interval=1)
-    retrained = run_experiment(
-        config,
-        nn=(model.copy(), norm),
-        nn_corpus=logs,
-        nn_train_config=mlp.MlpConfig(epochs=2, batch_size=10),
-    )
-    assert len(retrained.metrics.tgo) == 2
 
 
 def test_run_dir_persists_everything(tmp_path):

@@ -303,13 +303,10 @@ def test_train_deterministic():
     assert a.epoch_losses == b.epoch_losses
 
 
-def test_train_early_stopping_is_optional_and_off_by_default():
-    assert MlpConfig().early_stop_patience == 0
-    ds = linear_dataset(n=100, noise=0.5, seed=9)
-    cfg = MlpConfig(input_dim=6, hidden=(4,), dropout=0.0, epochs=200, batch_size=10,
-                    learning_rate=0.05, seed=0, early_stop_patience=3)
-    _, report = train(ds, cfg)
-    assert len(report.epoch_losses) < 200  # noisy plateau triggers the stop
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_config_rejects_a_batch_size_below_one(batch_size):
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        MlpConfig(batch_size=batch_size)
 
 
 def test_train_requires_normalization():
@@ -419,4 +416,17 @@ def test_model_file_with_mismatched_layers_is_rejected(tmp_path):
     payload["weights"][1] = payload["weights"][1] + [[0.0]]  # same parameter count, wrong shapes
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="layer shapes"):
+        load_model(path)
+
+
+def test_model_file_naming_a_removed_config_field_is_refused(tmp_path):
+    ds = linear_dataset(n=80, d=60, seed=2)
+    model, _ = train(ds, MlpConfig(input_dim=60, hidden=(6,), epochs=1, batch_size=8, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, ds.normalization, path)
+    payload = json.loads(path.read_text())
+    assert set(payload["config"]) == {f.name for f in dataclasses.fields(MlpConfig)}
+    payload["config"]["early_stop_patience"] = 0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TypeError, match="early_stop_patience"):
         load_model(path)

@@ -219,25 +219,9 @@ def test_exploration_guarantee():
         choice, _ = choose(table, policy, 0, FAMILY)
         seen.add(choice.rule.id)
     assert seen == {r.id for r in FAMILY.rules}
-
-
-def test_policy_decay():
-    policy = Policy(epsilon=0.5, seed=0, decay=0.5, min_epsilon=0.1)
-    policy.advance_episode()
-    assert policy.current_epsilon == 0.25
-    for _ in range(10):
-        policy.advance_episode()
-    assert policy.current_epsilon == 0.1
-    with pytest.raises(ValueError):
-        Policy(epsilon=1.5)
-
-
-def test_policy_epsilon_stays_in_bounds():
-    policy = Policy(epsilon=0.8, seed=0, decay=2.0)  # growing schedule still capped
-    for _ in range(5):
-        policy.advance_episode()
-        assert 0.0 <= policy.current_epsilon <= 1.0
-    assert policy.current_epsilon == 1.0
+    for epsilon in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=f"epsilon must lie in \\[0, 1\\], got {epsilon}"):
+            Policy(epsilon=epsilon)
 
 
 # -- Monte Carlo updates ---------------------------------------------------------
