@@ -142,6 +142,9 @@ class GameConfig:
             raise ValueError("turn_limit must be >= 1")
         if self.min_city_distance < 1:
             raise ValueError("min_city_distance must be >= 1: a city center holds one city")
+        if self.max_cities < 1:
+            # the starting settlers found whatever the cap, so below 1 it is never honoured
+            raise ValueError(f"max_cities must be >= 1, got {self.max_cities}")
         if abs(sum(self.trade_split) - 1.0) > 1e-9 or any(r < 0 for r in self.trade_split):
             raise ValueError("trade_split rates must be non-negative and sum to 1")
 

@@ -48,6 +48,8 @@ class MlpConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def flat_size(config: MlpConfig) -> int:

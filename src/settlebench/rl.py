@@ -75,11 +75,16 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300, seed: int = 0) -
     """Lloyd's algorithm on min-max-normalized points, k-means++ seeding.
 
     Iterates to an assignment fixpoint or `max_iter`, whichever first;
-    the recorded inertia history is non-increasing.
+    the recorded inertia history is non-increasing. Each iteration
+    recomputes only the means of clusters a point left or joined, and
+    only the distance columns of centroids that moved; every other
+    column and mean would come out bit-identical.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D array")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n = points.shape[0]
     if n < k:
         raise ValueError(f"{n} points cannot support k={k}")
@@ -91,23 +96,31 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300, seed: int = 0) -
     x = minmax_scale(points, feature_min, feature_max)
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
+    centroids, d2 = _kmeans_pp_init(x, k, rng)
 
     labels = None
     history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)  # ties -> lowest index
         history.append(float(d2[np.arange(n), new_labels].sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
+        if labels is None:
+            touched = range(k)
+        else:
+            changed = new_labels != labels
+            if not changed.any():
+                break
+            touched = np.union1d(new_labels[changed], labels[changed])
         labels = new_labels
-        for j in range(k):
+        for j in touched:
             members = x[labels == j]
             if len(members):
-                centroids[j] = members.mean(axis=0)
+                mean = members.mean(axis=0)
+                moved = not np.array_equal(mean, centroids[j])
+                centroids[j] = mean
+                if moved:
+                    d2[:, j] = _sq_dist(x, mean)
 
     return ClusterModel(
         centroids=centroids,
@@ -119,19 +132,28 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300, seed: int = 0) -
     )
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of x to the point c."""
+    return ((x - c) ** 2).sum(axis=1)
+
+
+def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ centroids, and the (n, k) squared distances to each of them."""
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=float)
+    d2 = np.empty((n, k), dtype=float)
     centroids[0] = x[rng.integers(n)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2[:, 0] = _sq_dist(x, centroids[0])
+    nearest = d2[:, 0].copy()
     for j in range(1, k):
-        total = d2.sum()
+        total = nearest.sum()
         if total <= 0:
             centroids[j] = x[rng.integers(n)]
         else:
-            centroids[j] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+            centroids[j] = x[rng.choice(n, p=nearest / total)]
+        d2[:, j] = _sq_dist(x, centroids[j])
+        nearest = np.minimum(nearest, d2[:, j])
+    return centroids, d2
 
 
 def assign_state(model: ClusterModel, features: np.ndarray) -> int:
@@ -142,8 +164,7 @@ def assign_state(model: ClusterModel, features: np.ndarray) -> int:
             f"feature dimension {features.shape} does not match model ({model.centroids.shape[1]},)"
         )
     z = model.normalize(features)
-    d2 = ((model.centroids - z) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(np.argmin(_sq_dist(model.centroids, z)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,35 @@ def test_train_on_synthetic_linear_beats_label_variance(tmp_path, capsys):
     assert cv_mse < float(np.var(normalized))
 
 
+def test_train_refuses_negative_epochs_and_saves_nothing(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    ds = features.Dataset(
+        entries=[features.DatasetEntry(tuple(r), float(r[0])) for r in rng.random((20, features.LAYOUT.dim))]
+    )
+    csv_path = tmp_path / "d.csv"
+    features.write_dataset_csv(ds, csv_path)
+    model_path = tmp_path / "m.json"
+    code = run_cli(
+        "train-nn", "--dataset", csv_path, "--out-model", model_path,
+        "--folds", "2", "--epochs", "-5", "--batch-size", "2",
+    )
+    assert code == 2
+    assert "epochs must be >= 0, got -5" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("max_cities", ["0", "-2"])
+def test_run_refuses_a_city_cap_below_one_and_writes_nothing(tmp_path, capsys, max_cities):
+    out = tmp_path / "run"
+    code = run_cli(
+        "run", "--evaluator", "random", "--episodes", "2", "--seed", "1",
+        "--turn-limit", "30", "--max-cities", max_cities, "--out-dir", out,
+    )
+    assert code == 2
+    assert f"max_cities must be >= 1, got {max_cities}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_run_with_itself(kb_run, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert run_cli("compare", "--run-a", kb_run, "--run-b", kb_run, "--out", out) == 0

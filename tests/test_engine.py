@@ -187,6 +187,15 @@ def test_min_city_distance_must_be_positive():
     found_city(state, 0, (6, 5))  # distance 1 is allowed at min_city_distance 1
 
 
+def test_max_cities_must_be_positive():
+    # the starting settlers found whatever the cap, so a cap below 1 would
+    # be persisted in config.json yet never honoured
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"max_cities must be >= 1, got {bad}"):
+            GameConfig(max_cities=bad)
+    assert GameConfig(max_cities=1).max_cities == 1
+
+
 def test_found_city_needs_settler():
     state = grass_state()
     with pytest.raises(ValueError):

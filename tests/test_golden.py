@@ -3,12 +3,14 @@
 One small kb run and one small nn run on the seed-11 default map are
 persisted, and every file of the run directory (episode logs,
 `metrics.csv`, `value_table.txt`, `config.json` and `map.txt`) is hashed
-with sha256. The regressor the nn run plays is pinned too: its parameter
-bytes, epoch losses and fold MSEs. A change to the simulator, the evaluators or the log
-format that is meant to alter these bytes updates the digests below in
-the same change; any other difference is a regression. The runs include
-floating-point k-means fitting, MLP training and prediction, so the
-digests hold for one numpy and BLAS build.
+with sha256. The state model the kb run fits is pinned on its own: its
+centroid bytes, inertia history and iteration count. The regressor the nn
+run plays is pinned too: its parameter bytes, epoch losses and fold MSEs.
+A change to the simulator, the evaluators or the log format that is meant
+to alter these bytes updates the digests below in the same change; any
+other difference is a regression. The runs include floating-point k-means
+fitting, MLP training and prediction, so the digests hold for one numpy
+and BLAS build.
 """
 
 import hashlib
@@ -35,6 +37,7 @@ KB_DIGESTS = {
     "metrics.csv": "5d59d2f82cd23f891ddbd25bf3eed5379617a686538da6df190c2c03a4fc4277",
     "value_table.txt": "a579816872f738339b20fe68d01aff0e8ec7a39d994b5a9b2223015964591750",
 }
+CLUSTER_MODEL_DIGEST = "991a3012c88e00e1561b0911b36dfee21c23212eae79a190318a970c6d1d924f"
 MODEL_DIGEST = "24a692fee59860106708998c0ef015aacbe3e9d3709fee30810333b84bf558e5"
 NN_DIGESTS = {
     "config.json": "10580268b42d76e278e6dabdf4fd4e13b24ba396252a5b67eaea6a2ae62eff48",
@@ -62,7 +65,9 @@ def seed_map():
     return generate_map(MapGenConfig(), SEED)
 
 
-def test_kb_run_is_byte_identical(tmp_path, seed_map):
+@pytest.fixture(scope="module")
+def kb_run(tmp_path_factory, seed_map):
+    out_dir = tmp_path_factory.mktemp("kb")
     config = ExperimentConfig(
         evaluator="kb",
         episodes=4,
@@ -70,8 +75,26 @@ def test_kb_run_is_byte_identical(tmp_path, seed_map):
         game=GAME,
         rl=RlConfig(k=8, warmup_episodes=10, epsilon=0.3),
     )
-    run_experiment(config, game_map=seed_map, out_dir=str(tmp_path))
-    assert run_digests(tmp_path) == KB_DIGESTS
+    return run_experiment(config, game_map=seed_map, out_dir=str(out_dir)), out_dir
+
+
+def test_kb_run_is_byte_identical(kb_run):
+    _, out_dir = kb_run
+    assert run_digests(out_dir) == KB_DIGESTS
+
+
+def cluster_model_digest(model) -> str:
+    """sha256 over the centroid bytes, then the inertia history and iteration count."""
+    h = hashlib.sha256()
+    h.update(model.centroids.tobytes())
+    h.update(np.asarray(model.inertia_history, dtype=float).tobytes())
+    h.update(str(model.iterations).encode())
+    return h.hexdigest()
+
+
+def test_kb_state_model_is_byte_identical(kb_run):
+    result, _ = kb_run
+    assert cluster_model_digest(result.cluster_model) == CLUSTER_MODEL_DIGEST
 
 
 def model_digest(model, report) -> str:

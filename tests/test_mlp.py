@@ -309,6 +309,12 @@ def test_config_rejects_a_batch_size_below_one(batch_size):
         MlpConfig(batch_size=batch_size)
 
 
+@pytest.mark.parametrize("epochs", [-1, -5])
+def test_config_rejects_negative_epochs(epochs):
+    with pytest.raises(ValueError, match=f"epochs must be >= 0, got {epochs}"):
+        MlpConfig(epochs=epochs)
+
+
 def test_train_requires_normalization():
     ds = linear_dataset(n=80)
     ds.normalization = None

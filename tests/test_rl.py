@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_map
 from settlebench.engine import GameConfig, add_settler, found_city, new_game, step_turn
+from settlebench.features import minmax_scale
 from settlebench.rl import (
     ClusterModel,
     DecisionRecord,
@@ -90,6 +91,85 @@ def test_kmeans_rejects_fewer_points_than_k():
         kmeans_fit(np.zeros((3, 2)), k=4)
     with pytest.raises(ValueError):
         kmeans_fit(np.array([[np.inf, 0.0]]), k=1)
+
+
+def test_kmeans_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        kmeans_fit(np.zeros((3, 2)), k=0)
+
+
+def reference_kmeans(points, k, max_iter, seed):
+    """Lloyd's algorithm as a full recompute: every distance and every mean on
+    every iteration, after the same k-means++ seeding."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    x = minmax_scale(points, points.min(axis=0), points.max(axis=0))
+    rng = np.random.default_rng(seed)
+
+    centroids = np.empty((k, x.shape[1]), dtype=float)
+    centroids[0] = x[rng.integers(n)]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = x[rng.integers(n)]
+        else:
+            centroids[j] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+
+    labels = None
+    history = []
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = x[labels == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+    return centroids, history, iterations
+
+
+def assert_fit_matches_reference(points, k, max_iter, seed):
+    model = kmeans_fit(points, k=k, max_iter=max_iter, seed=seed)
+    centroids, history, iterations = reference_kmeans(points, k, max_iter, seed)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.inertia_history == history
+    assert model.iterations == iterations
+    assert model.inertia == history[-1]
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Blobs rounded to 0-2 decimals, so duplicate points and exact distance
+    ties occur; a wide scale makes some centroid moves smaller than 1e-5 relative."""
+    k = draw(st.integers(1, 16))
+    n = draw(st.integers(k, 300))
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blobs = rng.normal(size=(draw(st.integers(1, 6)), d)) * draw(st.sampled_from([1.0, 1e3, 1e6]))
+    points = blobs[rng.integers(len(blobs), size=n)] + rng.normal(size=(n, d))
+    return np.round(points, draw(st.integers(0, 2))), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(kmeans_inputs(), st.sampled_from([1, 2, 3, 300]), st.integers(0, 2**32 - 1))
+def test_kmeans_fit_equals_the_full_recompute_bit_for_bit(inputs, max_iter, seed):
+    points, k = inputs
+    assert_fit_matches_reference(points, k, max_iter, seed)
+
+
+def test_kmeans_fit_with_empty_clusters_equals_the_full_recompute():
+    # identical points: every centroid lands on them, clusters 1 and 2 stay empty
+    points = np.full((10, 2), 3.5)
+    assert_fit_matches_reference(points, 3, 300, 0)
+    model = kmeans_fit(points, k=3, seed=0)
+    assert model.inertia == 0.0 and model.iterations == 2
 
 
 def identity_model(centroids) -> ClusterModel:
