@@ -233,8 +233,8 @@ def cmd_train_nn(args) -> int:
     base = dict(epochs=args.epochs, batch_size=batch_size, seed=args.seed)
     if args.grid:
         grid = [mlp.MlpConfig(**base, **g) for g in DEFAULT_GRID]
-        config, report = mlp.grid_search(dataset, grid, folds=folds, seed=args.seed)
-        for cfg, mean in report.results:
+        config, results = mlp.grid_search(dataset, grid, folds=folds, seed=args.seed)
+        for cfg, mean in results:
             print(f"hidden={cfg.hidden}: mean CV MSE {mean:.6f}")
         print(f"selected hidden={config.hidden}")
     else:

@@ -24,7 +24,6 @@ import functools
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +252,6 @@ class GameState:
     config: GameConfig
     turn: int = 1
     players: list[PlayerState] = field(default_factory=list)
-    rng: random.Random = field(default_factory=random.Random)
     finished: bool = False
     next_city_id: int = 0
     next_settler_id: int = 0
@@ -285,13 +283,12 @@ class GameState:
             yield from p.cities
 
 
-def new_game(game_map: GameMap, config: GameConfig, seed: int, num_players: int = 1) -> GameState:
+def new_game(game_map: GameMap, config: GameConfig, num_players: int = 1) -> GameState:
     yields, weights = _tile_yields(game_map, config.ruleset)
     return GameState(
         map=game_map,
         config=config,
         players=[PlayerState(player_id=i) for i in range(num_players)],
-        rng=random.Random(seed),
         owner=[None] * len(game_map.tiles),
         worked_by=[None] * len(game_map.tiles),
         yields=yields,
@@ -692,7 +689,7 @@ def run_episode(
     """
     episode_map = game_map if game_map is not None else generate_map(mapgen or MapGenConfig(), seed)
     map_text = encode_map(episode_map)
-    state = new_game(episode_map, config, seed)
+    state = new_game(episode_map, config)
     place_initial_settlers(state, player_id)
     turns = []
     while not state.finished:
@@ -738,7 +735,7 @@ def replay_episode(log: EpisodeLog) -> int:
 
     Only the TGO is wanted, so the turns are played without a journal.
     """
-    state = new_game(log.decoded_map(), log.config, log.seed)
+    state = new_game(log.decoded_map(), log.config)
     place_initial_settlers(state, log.player)
     agent = ReplayAgent(log)
     while not state.finished:

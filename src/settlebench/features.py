@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +27,8 @@ NEIGHBOR_BAND = (3, 4)  # Chebyshev distances just outside the cluster radius of
 
 # the map's static cluster columns, then the two neighbour-band counts
 COLUMNS: tuple[str, ...] = (*STATIC_COLUMNS, "my_neighb", "enemy_neighb")
-
-
-@dataclass(frozen=True)
-class FeatureLayout:
-    version: int = 1
-    columns = COLUMNS
-    dim = len(COLUMNS)
-
-
-LAYOUT = FeatureLayout()
-assert LAYOUT.dim == 60
+assert len(COLUMNS) == 60
+LAYOUT_VERSION = 1  # written to dataset sidecars and model files; bump when COLUMNS change
 
 
 def feature_rows(state: GameState, centers, player: int) -> np.ndarray:
@@ -48,7 +39,7 @@ def feature_rows(state: GameState, centers, player: int) -> np.ndarray:
     border, `player`'s own and everyone else's.
     """
     table = cluster_table(state.map)
-    out = np.empty((len(centers), LAYOUT.dim))
+    out = np.empty((len(centers), len(COLUMNS)))
     out[:, : len(STATIC_COLUMNS)] = table.static[table.rows(centers)]
     cities = list(state.all_cities())
     seats = np.array([c.coord for c in cities], dtype=int).reshape(1, -1, 2)
@@ -63,12 +54,6 @@ def feature_rows(state: GameState, centers, player: int) -> np.ndarray:
 def extract_features(state: GameState, center: tuple[int, int], player: int) -> np.ndarray:
     """60-dim feature vector for the cluster at `center`, from `player`'s side."""
     return feature_rows(state, [center], player)[0]
-
-
-@dataclass(frozen=True)
-class DatasetEntry:
-    features: tuple[float, ...]
-    label: float
 
 
 @dataclass
@@ -98,17 +83,13 @@ class MinMaxNormalization:
 
 @dataclass
 class Dataset:
-    entries: list[DatasetEntry] = field(default_factory=list)
-    normalization: MinMaxNormalization | None = None
+    """Training data: `x`, the (n, 60) feature rows, and `y`, their (n,) labels."""
+
+    x: np.ndarray
+    y: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.asarray([e.features for e in self.entries], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        return np.asarray([e.label for e in self.entries], dtype=float)
+        return len(self.y)
 
 
 def city_label(log: EpisodeLog, city_id: int) -> float:
@@ -122,7 +103,7 @@ def city_label(log: EpisodeLog, city_id: int) -> float:
 
 
 def build_dataset(logs: list[EpisodeLog]) -> Dataset:
-    """One entry per distinct feature row; duplicate rows average their labels."""
+    """One row per distinct feature vector, in sorted order; duplicates average their labels."""
     groups: dict[tuple[float, ...], list[float]] = {}
     for log in logs:
         for f in log.foundings():
@@ -134,23 +115,21 @@ def build_dataset(logs: list[EpisodeLog]) -> Dataset:
                 )
             key = tuple(float(v) for v in f.features)
             groups.setdefault(key, []).append(city_label(log, f.city_id))
-    entries = [
-        DatasetEntry(features=key, label=sum(labels) / len(labels))
-        for key, labels in sorted(groups.items())
-    ]
-    return Dataset(entries=entries)
+    rows = sorted(groups.items())
+    return Dataset(
+        x=np.array([key for key, _ in rows], dtype=float).reshape(len(rows), len(COLUMNS)),
+        y=np.array([sum(labels) / len(labels) for _, labels in rows], dtype=float),
+    )
 
 
 def minmax_fit(dataset: Dataset) -> MinMaxNormalization:
-    if not dataset.entries:
+    if len(dataset) == 0:
         raise ValueError("cannot fit normalization on an empty dataset")
-    x = dataset.feature_matrix()
-    y = dataset.labels()
     return MinMaxNormalization(
-        feature_min=x.min(axis=0),
-        feature_max=x.max(axis=0),
-        label_min=float(y.min()),
-        label_max=float(y.max()),
+        feature_min=dataset.x.min(axis=0),
+        feature_max=dataset.x.max(axis=0),
+        label_min=float(dataset.y.min()),
+        label_max=float(dataset.y.max()),
     )
 
 
@@ -184,18 +163,15 @@ def denormalize_label(norm: MinMaxNormalization, value):
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """CSV with one named column per feature plus `label`; normalization
-    parameters go to a `<path>.meta.json` sidecar when fitted."""
+    """CSV with one named column per feature plus `label`, and a
+    `<path>.meta.json` sidecar naming the layout version and the columns."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*COLUMNS, "label"])
-        for e in dataset.entries:
-            writer.writerow([_fmt(v) for v in e.features] + [_fmt(e.label)])
-    meta = {"layout_version": LAYOUT.version, "columns": list(COLUMNS)}
-    if dataset.normalization is not None:
-        meta["normalization"] = dataset.normalization.to_dict()
+        for row, label in zip(dataset.x.tolist(), dataset.y.tolist()):
+            writer.writerow([csv_number(v) for v in row] + [csv_number(label)])
     with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump({"layout_version": LAYOUT_VERSION, "columns": list(COLUMNS)}, fh, indent=2)
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -203,21 +179,12 @@ def read_dataset_csv(path) -> Dataset:
         reader = csv.reader(fh)
         header = next(reader)
         if header[-1] != "label" or tuple(header[:-1]) != COLUMNS:
-            raise ValueError(f"{path}: header does not match feature layout v{LAYOUT.version}")
-        entries = [
-            DatasetEntry(features=tuple(float(v) for v in row[:-1]), label=float(row[-1]))
-            for row in reader
-        ]
-    dataset = Dataset(entries=entries)
-    try:
-        with open(str(path) + ".meta.json") as fh:
-            meta = json.load(fh)
-        if "normalization" in meta:
-            dataset.normalization = MinMaxNormalization.from_dict(meta["normalization"])
-    except FileNotFoundError:
-        pass
-    return dataset
+            raise ValueError(f"{path}: header does not match feature layout v{LAYOUT_VERSION}")
+        rows = [[float(v) for v in row] for row in reader]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return Dataset(x=table[:, :-1], y=table[:, -1])
 
 
-def _fmt(v: float) -> str:
+def csv_number(v: float) -> str:
+    """An integral value as an int, anything else as repr(float)."""
     return repr(int(v)) if float(v).is_integer() else repr(float(v))

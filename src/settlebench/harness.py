@@ -256,7 +256,7 @@ def export_metrics_csv(metrics: RunMetrics, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["episode", "tgo", "running_avg"])
         for i, (tgo, avg) in enumerate(zip(metrics.tgo, metrics.running_avg)):
-            writer.writerow([i, _num(tgo), repr(float(avg))])
+            writer.writerow([i, features.csv_number(tgo), repr(float(avg))])
 
 
 def read_metrics_csv(path, window: int = 1) -> RunMetrics:
@@ -271,10 +271,6 @@ def read_metrics_csv(path, window: int = 1) -> RunMetrics:
         running_avg=[float(row[2]) for row in rows],
         window=window,
     )
-
-
-def _num(v: float):
-    return int(v) if float(v).is_integer() else repr(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -607,18 +603,19 @@ def train_nn(
     folds: int = 10,
     cv_seed: int = 0,
 ) -> tuple[mlp.MlpModel, features.MinMaxNormalization, mlp.TrainReport]:
-    """CV assessment, then the final model trained on the whole dataset; a
-    batch too large for the smallest CV split is cut to fit it."""
+    """CV assessment, then the final model trained on the whole dataset with
+    the min-max normalization fitted on it; a batch too large for the
+    smallest CV split is cut to fit it. The dataset is left as it was."""
     if len(dataset) < 2:
         raise ValueError(f"only {len(dataset)} unique entries; not enough to train")
     config, folds = config or mlp.MlpConfig(), min(folds, len(dataset))
     config = dataclasses.replace(config, batch_size=mlp.cv_batch_size(config.batch_size, len(dataset), folds))
     cv_report = mlp.kfold_cv(dataset, config, folds=folds, seed=cv_seed)
-    dataset.normalization = features.minmax_fit(dataset)
-    model, train_report = mlp.train(dataset, config)
+    norm = features.minmax_fit(dataset)
+    model, train_report = mlp.train(dataset, norm, config)
     train_report.fold_mses = cv_report.fold_mses
     train_report.mean_cv_mse = cv_report.mean_cv_mse
-    return model, dataset.normalization, train_report
+    return model, norm, train_report
 
 
 def train_nn_from_logs(
@@ -662,13 +659,12 @@ def run_comparison(
     corpus, warmup_points = logs[:bootstrap_episodes], points[: sum(len(log.turns) for log in logs[:warmup])]
     seconds = {"corpus": time.perf_counter() - t0}
     dataset = features.build_dataset(corpus)
-    if out_dir is not None:  # the dataset is written before training fits its normalization
+    model, norm, train_report = train_nn(dataset, mlp.MlpConfig(epochs=epochs), folds=10)
+    if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "map.txt"), "w") as fh:
             fh.write(encode_map(game_map))
         features.write_dataset_csv(dataset, os.path.join(out_dir, "dataset.csv"))
-    model, norm, train_report = train_nn(dataset, mlp.MlpConfig(epochs=epochs), folds=10)
-    if out_dir is not None:
         mlp.save_model(model, norm, os.path.join(out_dir, "model.json"))
     arms = {}
     for arm in ("kb", "nn"):

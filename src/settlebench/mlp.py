@@ -12,11 +12,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .features import (
-    LAYOUT,
+    COLUMNS,
+    LAYOUT_VERSION,
     Dataset,
     MinMaxNormalization,
     minmax_apply,
@@ -27,7 +29,7 @@ from .features import (
 
 @dataclass(frozen=True)
 class MlpConfig:
-    input_dim: int = LAYOUT.dim
+    input_dim: int = len(COLUMNS)
     hidden: tuple[int, ...] = (95,)
     dropout: float = 0.5
     init_std: float = 0.0005
@@ -77,7 +79,8 @@ def layer_views(flat: np.ndarray, config: MlpConfig) -> tuple[tuple[np.ndarray, 
 class MlpModel:
     """All parameters in `flat`; `weights` and `biases` are tuples of views
     into it, so writing through a view updates the model, and replacing a
-    layer's array (item assignment on the tuple) raises TypeError."""
+    layer's array (item assignment on the tuple) raises TypeError. Gradients
+    use the same layout, so `backward` returns them as an MlpModel too."""
 
     flat: np.ndarray
     config: MlpConfig
@@ -152,20 +155,7 @@ def mse(predictions, targets) -> float:
     return float(np.mean((predictions - targets) ** 2))
 
 
-@dataclass
-class Gradients:
-    """Gradients in the model's layout: `weights` and `biases` are views into `flat`."""
-
-    flat: np.ndarray
-    config: MlpConfig
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.weights, self.biases = layer_views(self.flat, self.config)
-
-
-def backward(model: MlpModel, cache: dict, targets: np.ndarray, out: Gradients | None = None) -> Gradients:
+def backward(model: MlpModel, cache: dict, targets: np.ndarray, out: MlpModel | None = None) -> MlpModel:
     """Gradients of the batch MSE w.r.t. every weight and bias.
 
     The residual comes from the output `forward` left in the cache, and each
@@ -179,7 +169,7 @@ def backward(model: MlpModel, cache: dict, targets: np.ndarray, out: Gradients |
         raise ValueError("targets do not match the cached batch")
 
     delta = (2.0 * (cache["out"] - targets) / n).reshape(-1, 1)
-    grads = Gradients(np.empty_like(model.flat), model.config) if out is None else out
+    grads = MlpModel(np.empty_like(model.flat), model.config) if out is None else out
     for i in reversed(range(len(model.weights))):
         np.matmul(cache["inputs"][i].T, delta, out=grads.weights[i])
         np.add.reduce(delta, axis=0, out=grads.biases[i])
@@ -207,7 +197,7 @@ class AdamState:
         return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), scratch=(np.empty_like(flat), np.empty_like(flat)))
 
 
-def adam_step(model: MlpModel, grads: Gradients, state: AdamState, t: int) -> MlpModel:
+def adam_step(model: MlpModel, grads: MlpModel, state: AdamState, t: int) -> MlpModel:
     """Standard ADAM update with bias correction over the whole parameter
     vector at once, in place; mutates model and state.
 
@@ -237,24 +227,17 @@ def adam_step(model: MlpModel, grads: Gradients, state: AdamState, t: int) -> Ml
     return model
 
 
-def _normalized_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    if dataset.normalization is None:
-        raise ValueError("dataset is not normalized; fit min-max parameters first")
-    x = minmax_apply(dataset.normalization, dataset.feature_matrix())
-    y = np.asarray(normalize_label(dataset.normalization, dataset.labels()), dtype=float)
-    return x, y
-
-
-def train(dataset: Dataset, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
-    """Mini-batch ADAM training on the normalized dataset; seeded shuffling."""
-    x, y = _normalized_arrays(dataset)
+def train(dataset: Dataset, norm: MinMaxNormalization, config: MlpConfig) -> tuple[MlpModel, TrainReport]:
+    """Mini-batch ADAM training on the dataset scaled by `norm`; seeded shuffling."""
+    x = minmax_apply(norm, dataset.x)
+    y = normalize_label(norm, dataset.y)
     n = x.shape[0]
     if n < 2 * config.batch_size:
         raise ValueError(f"dataset of {n} rows is too small for batch size {config.batch_size}")
     rng = np.random.default_rng(config.seed)
     model = init_model(config)
     state = AdamState.for_model(model)
-    grads = Gradients(np.empty_like(model.flat), config)
+    grads = MlpModel(np.empty_like(model.flat), config)
     report = TrainReport()
     t = 0
     for _ in range(config.epochs):
@@ -294,35 +277,28 @@ def kfold_cv(dataset: Dataset, config: MlpConfig, folds: int = 10, seed: int = 0
     for i in range(folds):
         val_idx = parts[i]
         train_idx = np.concatenate([parts[j] for j in range(folds) if j != i])
-        train_ds = Dataset(entries=[dataset.entries[j] for j in train_idx])
-        train_ds.normalization = minmax_fit(train_ds)
-        model, _ = train(train_ds, config)
-        xv = minmax_apply(train_ds.normalization, np.asarray([dataset.entries[j].features for j in val_idx]))
-        yv = normalize_label(train_ds.normalization, np.asarray([dataset.entries[j].label for j in val_idx]))
+        train_ds = Dataset(dataset.x[train_idx], dataset.y[train_idx])
+        norm = minmax_fit(train_ds)
+        model, _ = train(train_ds, norm, config)
+        xv = minmax_apply(norm, dataset.x[val_idx])
+        yv = normalize_label(norm, dataset.y[val_idx])
         report.fold_mses.append(mse(predict(model, xv), yv))
     report.mean_cv_mse = float(np.mean(report.fold_mses))
     return report
 
 
-@dataclass
-class GridSearchReport:
-    results: list[tuple[MlpConfig, float]]
-
-    def best(self) -> tuple[MlpConfig, float]:
-        best_i = min(range(len(self.results)), key=lambda i: self.results[i][1])
-        return self.results[best_i]
-
-
-def grid_search(dataset: Dataset, grid: list[MlpConfig], folds: int = 10, seed: int = 0):
-    """Exhaustive CV over the grid; lowest mean MSE wins, ties keep grid order."""
+def grid_search(
+    dataset: Dataset, grid: list[MlpConfig], folds: int = 10, seed: int = 0
+) -> tuple[MlpConfig, list[tuple[MlpConfig, float]]]:
+    """Exhaustive CV over the grid: (best config, [(config, mean CV MSE)] in
+    grid order). Lowest mean MSE wins; ties keep grid order."""
     if not grid:
         raise ValueError("empty hyperparameter grid")
     results = []
     for config in grid:
         report = kfold_cv(dataset, config, folds=folds, seed=seed)
         results.append((config, float(report.mean_cv_mse)))
-    report = GridSearchReport(results=results)
-    return report.best()[0], report
+    return min(results, key=itemgetter(1))[0], results
 
 
 # -- model file --------------------------------------------------------------
@@ -335,7 +311,7 @@ def save_model(model: MlpModel, normalization: MinMaxNormalization, path) -> Non
     """
     payload = {
         "format": "settlebench-mlp",
-        "layout_version": LAYOUT.version,
+        "layout_version": LAYOUT_VERSION,
         "config": dataclasses.asdict(model.config),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
@@ -350,7 +326,7 @@ def load_model(path) -> tuple[MlpModel, MinMaxNormalization]:
         payload = json.load(fh)
     if payload.get("format") != "settlebench-mlp":
         raise ValueError(f"{path}: not a model file")
-    if payload.get("layout_version") != LAYOUT.version:
+    if payload.get("layout_version") != LAYOUT_VERSION:
         raise ValueError(f"{path}: feature layout v{payload.get('layout_version')} unsupported")
     cfg_dict = dict(payload["config"])
     cfg_dict["hidden"] = tuple(cfg_dict["hidden"])

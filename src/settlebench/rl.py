@@ -85,6 +85,8 @@ def kmeans_fit(points: np.ndarray, k: int, max_iter: int = 300, seed: int = 0) -
         raise ValueError("points must be a 2-D array")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = points.shape[0]
     if n < k:
         raise ValueError(f"{n} points cannot support k={k}")

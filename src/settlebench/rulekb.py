@@ -152,9 +152,6 @@ class KnowledgeBase:
     def rule_count(self) -> int:
         return sum(len(cs.rules) for cs in self.families.values())
 
-    def family(self, family_id: str) -> ConflictSet:
-        return self.families[family_id]
-
 
 def default_kb() -> KnowledgeBase:
     kb = KnowledgeBase(DEFAULT_POINT_TABLE)

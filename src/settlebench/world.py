@@ -41,7 +41,6 @@ class TerrainKind(Enum):
 
 
 BUILDABLE_TERRAINS = tuple(t for t in TerrainKind if t.buildable)
-WATER_TERRAINS = (TerrainKind.OCEAN, TerrainKind.DEEP_OCEAN)
 
 
 class SpecialKind(Enum):
@@ -189,10 +188,6 @@ assert len(CLUSTER_OFFSETS) == 21
 class MapCluster:
     center: tuple[int, int]
     tiles: tuple[Tile, ...]
-
-    @property
-    def center_tile(self) -> Tile:
-        return self.tiles[CLUSTER_OFFSETS.index((0, 0))]
 
 
 def cluster_in_bounds(game_map: GameMap, center: tuple[int, int]) -> bool:

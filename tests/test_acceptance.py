@@ -13,7 +13,7 @@ import pytest
 from settlebench import engine, features, harness, mlp, rl
 from settlebench.cli import main as cli_main
 from settlebench.engine import GameConfig
-from settlebench.features import Dataset, DatasetEntry, minmax_fit
+from settlebench.features import Dataset, minmax_fit
 from settlebench.harness import (
     ExperimentConfig,
     RandomEvaluator,
@@ -88,7 +88,7 @@ def test_criterion_2_monte_carlo_means():
 
 def test_criterion_3_epsilon_greedy():
     """epsilon=0 is pure argmax; epsilon=1 is uniform within [0.23, 0.27]."""
-    fam = default_kb().family("terrain_grassland")
+    fam = default_kb().families["terrain_grassland"]
     table = rl.ValueTable()
     for i, r in enumerate(fam.rules):
         table.q[(0, fam.family, r.id)] = rl.RunningMean(count=1, mean=float(i))
@@ -154,11 +154,10 @@ def test_criterion_6_nn_learning_sanity(comparison):
     x = rng.random((200, 8))
     w = rng.random(8)
     y = x @ w + 0.5
-    ds = Dataset(entries=[DatasetEntry(tuple(r), float(v)) for r, v in zip(x, y)])
-    ds.normalization = minmax_fit(ds)
+    ds = Dataset(x, y)
     cfg = mlp.MlpConfig(input_dim=8, hidden=(16,), dropout=0.0, epochs=80, batch_size=20,
                         learning_rate=0.01, seed=6)
-    _, report = mlp.train(ds, cfg)
+    _, report = mlp.train(ds, minmax_fit(ds), cfg)
     reduction = 1 - report.epoch_losses[-1] / report.epoch_losses[0]
     assert reduction >= 0.90
 
@@ -172,10 +171,9 @@ def test_criterion_6_nn_learning_sanity(comparison):
     for i in range(10):
         val = parts[i]
         tr = np.concatenate([parts[j] for j in range(10) if j != i])
-        train_ds = Dataset(entries=[dataset.entries[j] for j in tr])
-        norm_i = minmax_fit(train_ds)
-        yv = features.normalize_label(norm_i, np.asarray([dataset.entries[j].label for j in val]))
-        yt = features.normalize_label(norm_i, np.asarray([dataset.entries[j].label for j in tr]))
+        norm_i = minmax_fit(Dataset(dataset.x[tr], dataset.y[tr]))
+        yv = features.normalize_label(norm_i, dataset.y[val])
+        yt = features.normalize_label(norm_i, dataset.y[tr])
         baseline_folds.append(float(np.mean((yv - yt.mean()) ** 2)))
     baseline = float(np.mean(baseline_folds))
     margin = 1 - cv_report.mean_cv_mse / baseline

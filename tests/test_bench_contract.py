@@ -15,7 +15,7 @@ import pytest
 
 from conftest import single_state_model
 from settlebench import engine, harness, mlp
-from settlebench.features import Dataset, DatasetEntry, minmax_fit
+from settlebench.features import Dataset, minmax_fit
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,12 +48,13 @@ def test_training_steps_pass_through_the_traced_boundaries():
     tracing = load_tracing()
     rng = np.random.default_rng(0)
     rows, batch, epochs = 22, 4, 3
-    dataset = Dataset(entries=[DatasetEntry(features=tuple(rng.random(3)), label=float(v)) for v in rng.random(rows)])
-    dataset.normalization = minmax_fit(dataset)
+    y = rng.random(rows)
+    dataset = Dataset(rng.random((rows, 3)), y)
+    norm = minmax_fit(dataset)
     config = mlp.MlpConfig(input_dim=3, hidden=(5,), epochs=epochs, batch_size=batch)
-    untraced, _ = mlp.train(dataset, config)
+    untraced, _ = mlp.train(dataset, norm, config)
     with tracing.instrument(tracing.Tracer()) as tracer:
-        traced, _ = mlp.train(dataset, config)
+        traced, _ = mlp.train(dataset, norm, config)
     steps = epochs * math.ceil(rows / batch)
     calls = [tracer.calls(f"mlp.{name}") for name in ("train", "forward", "backward", "adam_step")]
     assert calls == [1, steps, steps, steps]

@@ -133,11 +133,9 @@ def test_build_dataset_empty_dir(tmp_path):
 
 def test_train_on_synthetic_linear_beats_label_variance(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    x = rng.random((120, features.LAYOUT.dim))
+    x = rng.random((120, len(features.COLUMNS)))
     y = 3 * x[:, 0] + 2 * x[:, 10] + 1
-    ds = features.Dataset(
-        entries=[features.DatasetEntry(tuple(r), float(v)) for r, v in zip(x, y)]
-    )
+    ds = features.Dataset(x, y)
     csv_path = tmp_path / "linear.csv"
     features.write_dataset_csv(ds, csv_path)
     code = run_cli(
@@ -154,9 +152,8 @@ def test_train_on_synthetic_linear_beats_label_variance(tmp_path, capsys):
 
 def test_train_refuses_negative_epochs_and_saves_nothing(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    ds = features.Dataset(
-        entries=[features.DatasetEntry(tuple(r), float(r[0])) for r in rng.random((20, features.LAYOUT.dim))]
-    )
+    x = rng.random((20, len(features.COLUMNS)))
+    ds = features.Dataset(x, x[:, 0])
     csv_path = tmp_path / "d.csv"
     features.write_dataset_csv(ds, csv_path)
     model_path = tmp_path / "m.json"

@@ -21,7 +21,7 @@ from settlebench.engine import (
     legal_founding_sites,
     new_game,
 )
-from settlebench.features import LAYOUT, extract_features
+from settlebench.features import COLUMNS, extract_features
 from settlebench.harness import RuleEvaluator
 from settlebench.rulekb import (
     DEEP_OCEAN_ACCESS,
@@ -64,7 +64,7 @@ def mid_game(draw):
     """A generated map with cities of players 0 and 1 and a few stray claims."""
     game_map = generate_map(MAPGEN, draw(st.integers(0, 10_000)))
     config = GameConfig(turn_limit=10, min_city_distance=draw(st.integers(1, 4)))
-    state = new_game(game_map, config, seed=0, num_players=2)
+    state = new_game(game_map, config, num_players=2)
     rnd = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(0, 6))):
         player = rnd.randrange(2)
@@ -96,7 +96,7 @@ def test_array_legality_matches_the_per_site_check(state, player):
 
 @pytest.mark.parametrize("width,height", [(1, 1), (3, 7), (4, 4), (5, 5), (6, 12)])
 def test_array_legality_on_tiny_maps(width, height):
-    state = new_game(flat_map(width, height), GameConfig(turn_limit=5), seed=0)
+    state = new_game(flat_map(width, height), GameConfig(turn_limit=5))
     expected = [(x, y) for y in range(height) for x in range(width) if is_legal_founding_site(state, 0, (x, y))]
     assert legal_founding_sites(state, 0) == expected
 
@@ -104,8 +104,9 @@ def test_array_legality_on_tiny_maps(width, height):
 # -- rule matching -------------------------------------------------------------
 
 
-def oracle_families(cluster) -> set[str]:
-    center = cluster.center_tile
+def oracle_families(game_map, center_coord) -> set[str]:
+    cluster = cluster_at(game_map, center_coord)
+    center = game_map.tile(*center_coord)
     around = [t for t in cluster.tiles if t is not center]
     families = set()
     if center.terrain in TERRAIN_FAMILIES:
@@ -129,8 +130,7 @@ def test_rule_mask_rows_match_the_family_conditions(seed):
     game_map = generate_map(MAPGEN, seed)
     table = cluster_table(game_map)
     for center in centers_of(game_map):
-        cluster = cluster_at(game_map, center)
-        expected = oracle_families(cluster)
+        expected = oracle_families(game_map, center)
         row = table.rule_mask[table.rows([center])[0]]
         assert {f for f, hit in zip(FAMILY_IDS, row) if hit} == expected
         assert [cs.family for cs in match_rules(KB, game_map, center)] == sorted(expected)
@@ -159,7 +159,7 @@ def test_table_rows_reject_clusters_leaving_the_map():
 def oracle_features(state, center, player) -> list[float]:
     """The 60 columns, counted tile by tile."""
     cluster = cluster_at(state.map, center)
-    center_tile = cluster.center_tile
+    center_tile = state.map.tile(*center)
     around = [t for t in cluster.tiles if t is not center_tile]
     vec = [float(center_tile.terrain is t) for t in BUILDABLE_TERRAINS]
     vec += [float(sum(t.terrain is kind for t in around)) for kind in TerrainKind]
@@ -175,7 +175,7 @@ def oracle_features(state, center, player) -> list[float]:
         if 3 <= max(abs(city.x - center[0]), abs(city.y - center[1])) <= 4
     ]
     vec += [float(sum(o == player for o in band)), float(sum(o != player for o in band))]
-    assert len(vec) == LAYOUT.dim
+    assert len(vec) == len(COLUMNS)
     return vec
 
 
@@ -219,7 +219,7 @@ def test_rule_evaluator_matches_per_center_scoring(state, rnd, epsilon):
 
     assert scores == [float(t.total) for t in traces]
     for center, trace in zip(centers, traces):
-        assert [fr.family for fr in trace.fired] == sorted(oracle_families(cluster_at(state.map, center)))
+        assert [fr.family for fr in trace.fired] == sorted(oracle_families(state.map, center))
         assert trace.total == sum(fr.points for fr in trace.fired)
     # one record per matched family, in order of first appearance over centers
     first_seen = list(dict.fromkeys(fr.family for t in traces for fr in t.fired))

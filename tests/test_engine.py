@@ -62,7 +62,7 @@ class WeightAgent:
 
 def grass_state(turn_limit=40, **kwargs) -> "GameState":
     config = GameConfig(turn_limit=turn_limit, **kwargs)
-    return new_game(flat_map(12, 12), config, seed=0)
+    return new_game(flat_map(12, 12), config)
 
 
 # -- yields -------------------------------------------------------------------
@@ -101,18 +101,18 @@ def test_yields_are_built_once_per_map_and_ruleset():
     game_map = flat_map(12, 12)
     game_map.tile(6, 5).special = SpecialKind.WHEAT
     wheat = game_map.tile(6, 5)
-    first = new_game(game_map, GameConfig(), seed=0)
+    first = new_game(game_map, GameConfig())
     # a replay decodes an equal ruleset from its log: the tables are shared
     equal = engine.config_from_dict(engine.config_to_dict(GameConfig()))
-    second = new_game(game_map, equal, seed=1)
+    second = new_game(game_map, equal)
     assert second.yields is first.yields and second.weights is first.weights
     rules = default_ruleset()
     rules.special_bonuses[SpecialKind.WHEAT] = engine.YieldTriple(food=5)
-    assert new_game(game_map, GameConfig(ruleset=rules), seed=0).yields[(6, 5)] == tile_yield(wheat, rules)
+    assert new_game(game_map, GameConfig(ruleset=rules)).yields[(6, 5)] == tile_yield(wheat, rules)
     # the cache holds a copy of its ruleset: one edited after use is a new ruleset
     rules.special_bonuses[SpecialKind.WHEAT] = engine.YieldTriple(food=1)
-    assert new_game(game_map, GameConfig(ruleset=rules), seed=0).yields[(6, 5)] == tile_yield(wheat, rules)
-    assert new_game(game_map, GameConfig(), seed=0).yields[(6, 5)] == tile_yield(wheat, RULES)
+    assert new_game(game_map, GameConfig(ruleset=rules)).yields[(6, 5)] == tile_yield(wheat, rules)
+    assert new_game(game_map, GameConfig()).yields[(6, 5)] == tile_yield(wheat, RULES)
 
 
 # -- trade conversion ----------------------------------------------------------
@@ -215,7 +215,7 @@ def test_assign_single_citizen_works_center():
 def test_assign_prefers_dominating_tile():
     game_map = flat_map(12, 12)
     game_map.tile(6, 5).special = SpecialKind.BULL  # strictly better than bare grass
-    state = new_game(game_map, GameConfig(turn_limit=40), seed=0)
+    state = new_game(game_map, GameConfig(turn_limit=40))
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
     city.citizens = 2
@@ -240,7 +240,7 @@ def test_assign_full_city_works_all_21():
 
 
 def test_assign_skips_other_players_claims():
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), seed=0, num_players=2)
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
     state.owner[state.index((6, 5))] = 1
@@ -251,7 +251,7 @@ def test_assign_skips_other_players_claims():
 
 
 def test_growth_needs_a_free_tile():
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), seed=0, num_players=2)
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
     for i, _ in city.candidates:
@@ -268,7 +268,7 @@ def test_growth_needs_a_free_tile():
 def test_evicted_neighbour_loses_the_points_of_the_new_center():
     # the neighbour works the new city's center and has no other tile to move
     # to, so rebooking leaves its worked set as the founding edited it
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), seed=0, num_players=2)
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
     add_settler(state, 0, (5, 5))
     old = found_city(state, 0, (5, 5))
     for i, coord in old.candidates:
@@ -429,7 +429,7 @@ def test_trade_conservation_every_turn():
 
 def test_worked_set_legality():
     game_map = generate_map(MapGenConfig(), seed=5)
-    state = new_game(game_map, GameConfig(turn_limit=50, max_cities=6), seed=5)
+    state = new_game(game_map, GameConfig(turn_limit=50, max_cities=6))
     place_initial_settlers(state)
     agent = WeightAgent()
     while not state.finished:
@@ -528,7 +528,7 @@ def test_settler_blocked_by_water_idles():
     game_map = flat_map(14, 14)
     for y in range(14):
         game_map.tile(7, y).terrain = TerrainKind.OCEAN  # full vertical channel
-    state = new_game(game_map, GameConfig(turn_limit=10), seed=0)
+    state = new_game(game_map, GameConfig(turn_limit=10))
     settler = add_settler(state, 0, (4, 6))
     set_settler_target(state, settler, (10, 6))
     for _ in range(10):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,8 @@ from settlebench.engine import (
     new_game,
 )
 from settlebench.features import (
-    LAYOUT,
+    COLUMNS,
     Dataset,
-    DatasetEntry,
     build_dataset,
     city_label,
     denormalize_label,
@@ -31,24 +32,23 @@ from settlebench.features import (
 )
 from settlebench.world import MapGenConfig, SpecialKind, TerrainKind, encode_map, generate_map
 
-COL = {name: i for i, name in enumerate(LAYOUT.columns)}
+COL = {name: i for i, name in enumerate(COLUMNS)}
 
 
 def fresh_game(game_map, num_players=1):
-    return new_game(game_map, GameConfig(), seed=0, num_players=num_players)
+    return new_game(game_map, GameConfig(), num_players=num_players)
 
 
 def test_layout_dimension():
-    assert LAYOUT.dim == 60
-    assert len(set(LAYOUT.columns)) == 60
-    assert LAYOUT.columns is LAYOUT.columns  # one module-level tuple, not rebuilt per call
+    assert len(COLUMNS) == 60
+    assert len(set(COLUMNS)) == 60
 
 
 def test_all_grassland_cluster_features():
     vec = extract_features(fresh_game(flat_map(12, 12)), (5, 5), player=0)
     assert vec[COL["center_terrain_Grassland"]] == 1.0
     assert vec[COL["around_terrain_Grassland"]] == 20.0
-    nonzero = {LAYOUT.columns[i] for i in np.nonzero(vec)[0]}
+    nonzero = {COLUMNS[i] for i in np.nonzero(vec)[0]}
     assert nonzero == {"center_terrain_Grassland", "around_terrain_Grassland"}
 
 
@@ -63,7 +63,7 @@ def test_fig_style_cluster_features():
     game_map.tile(7, 6).terrain = TerrainKind.OCEAN
     vec = extract_features(fresh_game(game_map), (5, 5), player=0)
     assert vec[COL["center_special_Bull"]] == 1.0
-    around_special = [v for name, v in zip(LAYOUT.columns, vec) if name.startswith("around_special_")]
+    around_special = [v for name, v in zip(COLUMNS, vec) if name.startswith("around_special_")]
     assert sum(around_special) == 2.0
     assert vec[COL["ocean_access"]] == 1.0
     assert vec[COL["deep_ocean_access"]] == 0.0
@@ -105,9 +105,9 @@ def test_feature_invariants_hold(seed):
             assert sum(center_onehot) == 1.0
         else:
             assert sum(center_onehot) == 0.0
-        around_terrain = [v for n, v in zip(LAYOUT.columns, vec) if n.startswith("around_terrain_")]
+        around_terrain = [v for n, v in zip(COLUMNS, vec) if n.startswith("around_terrain_")]
         assert sum(around_terrain) == 20.0
-        around_special = [v for n, v in zip(LAYOUT.columns, vec) if n.startswith("around_special_")]
+        around_special = [v for n, v in zip(COLUMNS, vec) if n.startswith("around_special_")]
         assert sum(around_special) <= 20.0
         assert all(v >= 0 for v in vec)
 
@@ -202,7 +202,7 @@ def test_duplicate_rows_average():
     log_b = synthetic_log({0: [OutputPoints(food=200)]}, features_by_city={0: feats})
     dataset = build_dataset([log_a, log_b])
     assert len(dataset) == 1
-    assert dataset.entries[0].label == 150.0
+    assert dataset.y.tolist() == [150.0]
 
 
 def test_distinct_rows_preserved():
@@ -227,7 +227,7 @@ def test_build_dataset_permutation_invariant():
     ]
     forward = build_dataset(logs)
     backward = build_dataset(list(reversed(logs)))
-    assert forward.entries == backward.entries
+    assert np.array_equal(forward.x, backward.x) and np.array_equal(forward.y, backward.y)
 
 
 def test_dedup_idempotent():
@@ -238,7 +238,7 @@ def test_dedup_idempotent():
     ]
     once = build_dataset(logs)
     again = build_dataset(logs)
-    assert once.entries == again.entries
+    assert np.array_equal(once.x, again.x) and np.array_equal(once.y, again.y)
     assert len(once) == 3
 
 
@@ -252,14 +252,13 @@ def test_missing_features_rejected():
 
 
 def make_dataset(columns):
-    entries = [DatasetEntry(features=tuple(row), label=float(i)) for i, row in enumerate(columns)]
-    return Dataset(entries=entries)
+    return Dataset(np.array(columns, dtype=float), np.arange(len(columns), dtype=float))
 
 
 def test_minmax_basic_column():
     ds = make_dataset([[0.0, 3.0], [5.0, 3.0], [10.0, 3.0]])
     norm = minmax_fit(ds)
-    out = minmax_apply(norm, ds.feature_matrix())
+    out = minmax_apply(norm, ds.x)
     assert list(out[:, 0]) == [0.0, 0.5, 1.0]
     # constant column maps to zero
     assert list(out[:, 1]) == [0.0, 0.0, 0.0]
@@ -273,7 +272,7 @@ def test_minmax_no_clamping():
 
 def test_minmax_fit_empty_errors():
     with pytest.raises(ValueError):
-        minmax_fit(Dataset(entries=[]))
+        minmax_fit(Dataset(np.empty((0, 60)), np.empty(0)))
 
 
 def test_label_round_trip():
@@ -286,13 +285,12 @@ def test_label_round_trip():
 def test_dataset_csv_round_trip(tmp_path, bootstrap_corpus):
     logs, _ = bootstrap_corpus
     dataset = build_dataset(logs)
-    dataset.normalization = minmax_fit(dataset)
     path = tmp_path / "dataset.csv"
     write_dataset_csv(dataset, path)
     loaded = read_dataset_csv(path)
-    assert loaded.entries == dataset.entries
-    assert np.array_equal(loaded.normalization.feature_min, dataset.normalization.feature_min)
-    assert loaded.normalization.label_max == dataset.normalization.label_max
+    assert np.array_equal(loaded.x, dataset.x) and np.array_equal(loaded.y, dataset.y)
+    sidecar = json.loads((tmp_path / "dataset.csv.meta.json").read_text())
+    assert sidecar == {"layout_version": 1, "columns": list(COLUMNS)}
     header = path.read_text().splitlines()[0]
-    assert header.split(",")[:3] == list(LAYOUT.columns[:3])
+    assert header.split(",")[:3] == list(COLUMNS[:3])
     assert header.split(",")[-1] == "label"

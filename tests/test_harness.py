@@ -62,14 +62,14 @@ def test_episode_seed_is_stable_and_spread():
 
 
 def test_evaluate_placements_empty_when_no_sites():
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=5, min_city_distance=99), seed=0)
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=5, min_city_distance=99))
     add_settler(state, 0, (5, 5))
     found_city(state, 0, (5, 5))
     assert evaluate_placements(ConstantEvaluator(), state, 0) == []
 
 
 def test_evaluate_placements_sorted_permutation():
-    state = new_game(flat_map(12, 12), GAME, seed=0)
+    state = new_game(flat_map(12, 12), GAME)
     evaluator = RandomEvaluator(seed=3)
     ranked = evaluate_placements(evaluator, state, 0)
     sites = engine.legal_founding_sites(state, 0)
@@ -80,7 +80,7 @@ def test_evaluate_placements_sorted_permutation():
 
 def test_evaluate_placements_top1_is_exhaustive_max():
     game_map = generate_map(MapGenConfig(), seed=2)
-    state = new_game(game_map, GAME, seed=0)
+    state = new_game(game_map, GAME)
     evaluator = rule_evaluator(epsilon=0.0)
     ranked = evaluate_placements(evaluator, state, 0)
     top_center, top_score = ranked[0]
@@ -91,7 +91,7 @@ def test_evaluate_placements_top1_is_exhaustive_max():
 
 
 def test_evaluate_placements_orders_every_tie_by_y_then_x():
-    state = new_game(generate_map(MapGenConfig(), seed=2), GAME, seed=0)
+    state = new_game(generate_map(MapGenConfig(), seed=2), GAME)
     ranked = evaluate_placements(rule_evaluator(epsilon=0.0), state, 0)
     assert len({s for _, s in ranked}) < len(ranked)  # the rule scores tie
     assert ranked == sorted(ranked, key=lambda cs: (-cs[1], cs[0][1], cs[0][0]))
@@ -116,7 +116,7 @@ def test_evaluator_symmetry_constant_stubs():
 
 def test_rule_evaluator_emits_records_and_traces():
     game_map = generate_map(MapGenConfig(), seed=2)
-    state = new_game(game_map, GAME, seed=0)
+    state = new_game(game_map, GAME)
     evaluator = rule_evaluator()
     ranked = evaluate_placements(evaluator, state, 0)
     assert evaluator.records  # one per (center, applicable family)
@@ -161,7 +161,7 @@ def test_agent_logs_founding_decision_payload():
     assert foundings
     f = foundings[0]
     assert f.evaluator == "kb"
-    assert f.features is not None and len(f.features) == features.LAYOUT.dim
+    assert f.features is not None and len(f.features) == len(features.COLUMNS)
     assert f.trace is not None
     assert f.score == f.trace["total"]
     assert f.decided_turn <= f.turn
@@ -286,6 +286,15 @@ def test_run_dir_persists_everything(tmp_path):
     assert loaded == config
     assert (tmp_path / "run" / "map.txt").exists()
     assert (tmp_path / "run" / "value_table.txt").exists()
+
+
+def test_train_nn_leaves_its_dataset_unchanged(bootstrap_corpus):
+    dataset = features.build_dataset(bootstrap_corpus[0])
+    x, y = dataset.x.copy(), dataset.y.copy()
+    _, norm, _ = harness.train_nn(dataset, mlp.MlpConfig(epochs=2, batch_size=10), folds=2)
+    assert vars(dataset).keys() == {"x", "y"}
+    assert np.array_equal(dataset.x, x) and np.array_equal(dataset.y, y)
+    assert norm.to_dict() == features.minmax_fit(dataset).to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +426,7 @@ def test_random_agent_default_config_fixture():
 def test_two_settlers_get_distinct_targets():
     from conftest import flat_map
 
-    state = new_game(flat_map(14, 14), GAME, seed=0)
+    state = new_game(flat_map(14, 14), GAME)
     engine.add_settler(state, 0, (6, 6))
     engine.add_settler(state, 0, (6, 6))
     agent = SettlementAgent(ConstantEvaluator(1.0))

@@ -162,7 +162,7 @@ def test_rebooking_on_change_equals_rebooking_every_turn(map_seed, seed, kind, s
     config = GameConfig(turn_limit=CONFIG.turn_limit, initial_settlers=settlers)
     games = []
     for _ in range(2):
-        state = new_game(game_map, config, seed)
+        state = new_game(game_map, config)
         place_initial_settlers(state)
         games.append((state, agent_of(kind, seed)))
     (state, agent), (reference, reference_agent) = games

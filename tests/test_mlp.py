@@ -4,10 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from settlebench.features import Dataset, DatasetEntry, minmax_fit
+from settlebench.features import Dataset, minmax_fit
 from settlebench.mlp import (
     AdamState,
-    Gradients,
     layer_views,
     MlpConfig,
     MlpModel,
@@ -37,10 +36,7 @@ def linear_dataset(n=200, d=6, seed=0, noise=0.0) -> Dataset:
     x = rng.random((n, d)) * 4
     w = rng.random(d)
     y = x @ w + 1.0 + noise * rng.standard_normal(n)
-    entries = [DatasetEntry(features=tuple(row), label=float(max(v, 0.0))) for row, v in zip(x, y)]
-    ds = Dataset(entries=entries)
-    ds.normalization = minmax_fit(ds)
-    return ds
+    return Dataset(x, np.maximum(y, 0.0))
 
 
 # -- initialization ---------------------------------------------------------------
@@ -234,9 +230,9 @@ def scalar_model(lr=0.002) -> MlpModel:
     return model
 
 
-def scalar_grads(model: MlpModel, g: float) -> Gradients:
+def scalar_grads(model: MlpModel, g: float) -> MlpModel:
     """Gradient g on the one weight, zero on the bias (flat layout W0, b0)."""
-    return Gradients(np.array([g, 0.0]), model.config)
+    return MlpModel(np.array([g, 0.0]), model.config)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -281,14 +277,14 @@ def test_adam_three_steps_match_manual_trace():
 def test_train_reduces_mse_on_linear_data():
     ds = linear_dataset()
     cfg = MlpConfig(input_dim=6, hidden=(16,), dropout=0.0, epochs=80, batch_size=20, learning_rate=0.01, seed=0)
-    model, report = train(ds, cfg)
+    model, report = train(ds, minmax_fit(ds), cfg)
     assert report.epoch_losses[-1] < 0.1 * report.epoch_losses[0]
 
 
 def test_train_zero_epochs_keeps_init():
     ds = linear_dataset(n=64)
     cfg = MlpConfig(input_dim=6, hidden=(8,), epochs=0, batch_size=8, seed=4)
-    model, report = train(ds, cfg)
+    model, report = train(ds, minmax_fit(ds), cfg)
     reference = init_model(cfg)
     assert report.epoch_losses == []
     for a, b in zip(model.weights, reference.weights):
@@ -298,8 +294,8 @@ def test_train_zero_epochs_keeps_init():
 def test_train_deterministic():
     ds = linear_dataset(n=100)
     cfg = MlpConfig(input_dim=6, hidden=(8,), dropout=0.5, epochs=10, batch_size=10, seed=7)
-    _, a = train(ds, cfg)
-    _, b = train(ds, cfg)
+    _, a = train(ds, minmax_fit(ds), cfg)
+    _, b = train(ds, minmax_fit(ds), cfg)
     assert a.epoch_losses == b.epoch_losses
 
 
@@ -315,17 +311,10 @@ def test_config_rejects_negative_epochs(epochs):
         MlpConfig(epochs=epochs)
 
 
-def test_train_requires_normalization():
-    ds = linear_dataset(n=80)
-    ds.normalization = None
-    with pytest.raises(ValueError, match="normalized"):
-        train(ds, MlpConfig(input_dim=6, batch_size=8))
-
-
 def test_train_requires_enough_rows():
     ds = linear_dataset(n=20)
     with pytest.raises(ValueError, match="too small"):
-        train(ds, MlpConfig(input_dim=6, batch_size=30))
+        train(ds, minmax_fit(ds), MlpConfig(input_dim=6, batch_size=30))
 
 
 # -- cross-validation --------------------------------------------------------------
@@ -362,9 +351,9 @@ def test_kfold_rejects_too_many_folds():
 def test_grid_search_singleton():
     ds = linear_dataset(n=60)
     cfg = MlpConfig(input_dim=6, hidden=(4,), epochs=3, batch_size=6, dropout=0.0, seed=0)
-    best, report = grid_search(ds, [cfg], folds=3)
+    best, results = grid_search(ds, [cfg], folds=3)
     assert best == cfg
-    assert len(report.results) == 1
+    assert len(results) == 1
 
 
 def test_grid_search_reports_all_means():
@@ -373,9 +362,9 @@ def test_grid_search_reports_all_means():
         MlpConfig(input_dim=6, hidden=(5,), epochs=3, batch_size=6, dropout=0.0, seed=0),
         MlpConfig(input_dim=6, hidden=(95,), epochs=3, batch_size=6, dropout=0.0, seed=0),
     ]
-    best, report = grid_search(ds, grid, folds=3)
-    assert len(report.results) == 2
-    assert all(isinstance(m, float) for _, m in report.results)
+    best, results = grid_search(ds, grid, folds=3)
+    assert len(results) == 2
+    assert all(isinstance(m, float) for _, m in results)
 
 
 def test_grid_search_picks_the_unsabotaged_config():
@@ -395,15 +384,16 @@ def test_grid_search_picks_the_unsabotaged_config():
 def test_model_file_round_trip(tmp_path):
     ds = linear_dataset(n=80, d=60, seed=2)
     cfg = MlpConfig(input_dim=60, hidden=(6,), epochs=2, batch_size=8, seed=1)
-    model, _ = train(ds, cfg)
+    fitted = minmax_fit(ds)
+    model, _ = train(ds, fitted, cfg)
     path = tmp_path / "model.json"
-    save_model(model, ds.normalization, path)
+    save_model(model, fitted, path)
     loaded, norm = load_model(path)
     assert loaded.config == model.config
     for a, b in zip(loaded.weights, model.weights):
         assert np.array_equal(a, b)  # bit-exact text round trip
     assert loaded.flat.tobytes() == model.flat.tobytes()
-    assert np.array_equal(norm.feature_min, ds.normalization.feature_min)
+    assert np.array_equal(norm.feature_min, fitted.feature_min)
     x = np.random.default_rng(0).random(60)
     assert predict(loaded, x) == predict(model, x)
 
@@ -414,9 +404,10 @@ def test_model_file_round_trip(tmp_path):
 
 def test_model_file_with_mismatched_layers_is_rejected(tmp_path):
     ds = linear_dataset(n=80, d=60, seed=2)
-    model, _ = train(ds, MlpConfig(input_dim=60, hidden=(6,), epochs=1, batch_size=8, seed=1))
+    norm = minmax_fit(ds)
+    model, _ = train(ds, norm, MlpConfig(input_dim=60, hidden=(6,), epochs=1, batch_size=8, seed=1))
     path = tmp_path / "model.json"
-    save_model(model, ds.normalization, path)
+    save_model(model, norm, path)
     payload = json.loads(path.read_text())
     payload["biases"][0] = payload["biases"][0][:-1]
     payload["weights"][1] = payload["weights"][1] + [[0.0]]  # same parameter count, wrong shapes
@@ -427,9 +418,10 @@ def test_model_file_with_mismatched_layers_is_rejected(tmp_path):
 
 def test_model_file_naming_a_removed_config_field_is_refused(tmp_path):
     ds = linear_dataset(n=80, d=60, seed=2)
-    model, _ = train(ds, MlpConfig(input_dim=60, hidden=(6,), epochs=1, batch_size=8, seed=1))
+    norm = minmax_fit(ds)
+    model, _ = train(ds, norm, MlpConfig(input_dim=60, hidden=(6,), epochs=1, batch_size=8, seed=1))
     path = tmp_path / "model.json"
-    save_model(model, ds.normalization, path)
+    save_model(model, norm, path)
     payload = json.loads(path.read_text())
     assert set(payload["config"]) == {f.name for f in dataclasses.fields(MlpConfig)}
     payload["config"]["early_stop_patience"] = 0

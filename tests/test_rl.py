@@ -28,11 +28,11 @@ from settlebench.rl import (
 from settlebench.rulekb import default_kb
 
 KB = default_kb()
-FAMILY = KB.family("terrain_grassland")
+FAMILY = KB.families["terrain_grassland"]
 
 
 def test_state_features_shape_and_content():
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=20), seed=0)
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=20))
     add_settler(state, 0, (5, 5))
     found_city(state, 0, (5, 5))
     step_turn(state)
@@ -96,6 +96,8 @@ def test_kmeans_rejects_fewer_points_than_k():
 def test_kmeans_rejects_k_below_one():
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         kmeans_fit(np.zeros((3, 2)), k=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        kmeans_fit(np.zeros((3, 2)), k=2, max_iter=0)
 
 
 def reference_kmeans(points, k, max_iter, seed):
@@ -343,7 +345,7 @@ def test_running_means_match_batch_means_over_100_episodes():
     rng = np.random.default_rng(0)
     table = ValueTable()
     credited: dict[tuple, list[float]] = {}
-    families = [KB.family(f) for f in ("terrain_grassland", "water_access", "whale_presence")]
+    families = [KB.families[f] for f in ("terrain_grassland", "water_access", "whale_presence")]
     for _ in range(100):
         records = []
         for _ in range(rng.integers(1, 8)):

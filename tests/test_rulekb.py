@@ -70,12 +70,12 @@ def test_default_kb_counts():
 
 
 def test_special_on_center_has_the_known_anchors():
-    points = {r.points for r in KB.family("special_on_center").rules}
+    points = {r.points for r in KB.families["special_on_center"].rules}
     assert {1, 5, 10} <= points
 
 
 def test_desert_family_never_positive():
-    assert all(r.points <= 0 for r in KB.family("terrain_desert").rules)
+    assert all(r.points <= 0 for r in KB.families["terrain_desert"].rules)
 
 
 def test_points_within_bounds_and_distinct():
@@ -148,7 +148,7 @@ def test_max_chooser_equals_family_maxima():
 
 
 def test_chooser_must_return_member():
-    alien = KB.family("terrain_desert").rules[0]
+    alien = KB.families["terrain_desert"].rules[0]
     with pytest.raises(ValueError):
         score_cluster(KB, *grass_site(), {"terrain_grassland": RuleChoice(rule=alien, probabilities={})})
 

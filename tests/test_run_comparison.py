@@ -35,6 +35,8 @@ def test_script_writes_the_comparison_it_returns(tmp_path):
     model, norm = mlp.load_model(str(out / "model.json"))
     assert np.array_equal(model.flat, run.model.flat)
     assert norm.to_dict() == run.normalization.to_dict()
+    written = features.read_dataset_csv(str(out / "dataset.csv"))
+    assert np.array_equal(written.x, run.dataset.x) and np.array_equal(written.y, run.dataset.y)
 
 
 def test_a_corpus_too_small_for_the_default_batch_trains_on_a_clamped_one(tmp_path):
