@@ -185,6 +185,7 @@ class City:
     # per-turn output of `worked` and its (y, x)-sorted list for the turn
     # record; both dropped whenever `worked` changes
     points: OutputPoints | None = field(default=None, init=False, repr=False, compare=False)
+    points_total: int = field(default=0, init=False, repr=False, compare=False)  # points.weighted_total()
     worked_sorted: list[tuple[int, int]] | None = field(default=None, init=False, repr=False, compare=False)
     # the 20 non-center cluster tiles as (tile index, coord), best first by
     # (-weight, y, x); weights are fixed per game, so sorted once at founding
@@ -211,6 +212,14 @@ class PlayerState:
     player_id: int
     cities: list[City] = field(default_factory=list)
     settlers: list[Settler] = field(default_factory=list)
+    # running tallies for the RL state features. Tiles are only ever claimed,
+    # never released, and weights are ints, so the tile tallies equal a
+    # recount over `GameState.owner`; `output` is the sum of every city's
+    # `per_turn_history`, which the city phase only appends to.
+    owned_tiles: int = 0
+    owned_weight: int = 0
+    specials_owned: int = 0
+    output: int = 0
 
 
 @dataclass
@@ -379,15 +388,20 @@ def found_city(state: GameState, player_id: int, coord: tuple[int, int]) -> City
         raise ValueError(f"player {player_id} has no settler at {coord}")
 
     city = City(id=state.next_city_id, player=player_id, x=x, y=y, founded_turn=state.turn)
-    cluster = [t.coord for t in cluster_at(state.map, coord).tiles]
+    cluster_tiles = cluster_at(state.map, coord).tiles
+    cluster = [t.coord for t in cluster_tiles]
     ranked = sorted(cluster, key=lambda c: (-state.weights[c], c[1], c[0]))
     city.candidates = tuple((state.index(c), c) for c in ranked if c != coord)
     state.next_city_id += 1
     player.cities.append(city)
     player.settlers.remove(settler)
-    for i in map(state.index, cluster):
+    for tile in cluster_tiles:
+        i = state.index(tile.coord)
         if state.owner[i] is None:
             state.owner[i] = player_id
+            player.owned_tiles += 1
+            player.owned_weight += state.weights[tile.coord]
+            player.specials_owned += tile.special is not None
     # center is worked from the founding turn on; evict any neighbour working it
     center = state.index(coord)
     displaced = state.worked_by[center]
@@ -511,6 +525,8 @@ def _city_phase(state: GameState) -> None:
     for city in cities:
         points = _city_points(state, city)
         city.per_turn_history.append(points)
+        player = state.player(city.player)
+        player.output += city.points_total
         if state.events is not None:
             if city.worked_sorted is None:
                 city.worked_sorted = sorted(city.worked, key=lambda c: (c[1], c[0]))
@@ -538,7 +554,6 @@ def _city_phase(state: GameState) -> None:
             city.citizens += 1
             city.food_store -= threshold
 
-        player = state.player(city.player)
         expansion_slots = len(player.cities) + len(player.settlers) < cfg.max_cities
         if city.citizens >= 3 and expansion_slots:
             city.production_store += points.production
@@ -573,6 +588,7 @@ def _city_points(state: GameState, city: City) -> OutputPoints:
             production=total.production,
             trade=total.trade,
         )
+        city.points_total = city.points.weighted_total()
     return city.points
 
 

@@ -302,6 +302,13 @@ class ExperimentConfig:
     metrics_window: int | None = None
     model_path: str | None = None
 
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        # None means default_window; a window below 1 would slice the wrong episodes
+        if self.metrics_window is not None and self.metrics_window < 1:
+            raise ValueError(f"metrics_window must be >= 1, got {self.metrics_window}")
+
     def window(self) -> int:
         return self.metrics_window or default_window(self.episodes)
 
@@ -364,8 +371,6 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sequential episodes with between-episode learning (kb arm) and
     per-episode metrics; optionally persists logs/metrics/value table."""
-    if config.episodes < 1:
-        raise ValueError("episodes must be >= 1")
     if config.fixed_map and game_map is None:
         game_map = generate_map(config.mapgen, config.base_seed)
 
@@ -651,7 +656,13 @@ def run_comparison(
     """The experiment on the fixed map of `seed`: random-agent corpus, regressor, kb and nn arms,
     comparison. With `out_dir`, writes map.txt, dataset.csv, model.json, kb/, nn/ and comparison/.
     The kb arm's warmup episodes are the corpus's first ones (the same seeds), played once for both."""
+    if bootstrap_episodes < 1:
+        raise ValueError(f"bootstrap_episodes must be >= 1, got {bootstrap_episodes}")
     game, mapgen, rl_config = GameConfig(turn_limit=turn_limit), MapGenConfig(), RlConfig(epsilon=epsilon)
+    # built first, so that bad sizes are refused before the corpus is played
+    configs = {arm: ExperimentConfig(evaluator=arm, episodes=episodes, base_seed=seed, game=game, mapgen=mapgen,
+                                     rl=rl_config, metrics_window=window) for arm in ("kb", "nn")}
+    mlp_config = mlp.MlpConfig(epochs=epochs)
     game_map = generate_map(mapgen, seed)
     t0 = time.perf_counter()
     warmup = rl_config.warmup_episodes
@@ -659,7 +670,7 @@ def run_comparison(
     corpus, warmup_points = logs[:bootstrap_episodes], points[: sum(len(log.turns) for log in logs[:warmup])]
     seconds = {"corpus": time.perf_counter() - t0}
     dataset = features.build_dataset(corpus)
-    model, norm, train_report = train_nn(dataset, mlp.MlpConfig(epochs=epochs), folds=10)
+    model, norm, train_report = train_nn(dataset, mlp_config, folds=10)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "map.txt"), "w") as fh:
@@ -667,9 +678,7 @@ def run_comparison(
         features.write_dataset_csv(dataset, os.path.join(out_dir, "dataset.csv"))
         mlp.save_model(model, norm, os.path.join(out_dir, "model.json"))
     arms = {}
-    for arm in ("kb", "nn"):
-        config = ExperimentConfig(evaluator=arm, episodes=episodes, base_seed=seed, game=game, mapgen=mapgen,
-                                  rl=rl_config, metrics_window=window)
+    for arm, config in configs.items():
         t0 = time.perf_counter()
         clusters = fit_state_clusters(warmup_points, rl_config) if arm == "kb" else None
         arms[arm] = run_experiment(config, game_map=game_map, nn=(model, norm) if arm == "nn" else None,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import GameState, total_game_output
+from .engine import GameState
 from .features import minmax_scale
 from .rulekb import FAMILY_IDS, WATER_ACCESS, ConflictSet, RuleChoice, ScoringRule
-from .world import cluster_in_bounds, cluster_table
+from .world import cluster_table
 from .world import cluster_at  # noqa: F401  bench/test_bench.py expects the tracer to patch it here
 
 STATE_FEATURE_NAMES = (
@@ -34,18 +34,20 @@ STATE_FEATURE_NAMES = (
 
 
 def state_features(state: GameState, player_id: int) -> np.ndarray:
-    """Numeric summary of a game state for one player, in STATE_FEATURE_NAMES order."""
+    """Numeric summary of a game state for one player, in STATE_FEATURE_NAMES order.
+
+    Owned tiles and output are read from the player's running tallies, so a
+    call costs O(cities). Every history entry falls within `state.turn` here,
+    so `output` is `total_game_output(state, player_id, state.turn)`.
+    """
     player = state.player(player_id)
-    owned = [t for t, owner in zip(state.map.tiles, state.owner) if owner == player_id]
-    mean_weight = sum(state.weights[(t.x, t.y)] for t in owned) / len(owned) if owned else 0.0
-    specials_owned = sum(1 for t in owned if t.special is not None)
-    seats = [c.coord for c in player.cities if cluster_in_bounds(state.map, c.coord)]
-    table = cluster_table(state.map)
-    coast = table.rule_mask[table.rows(seats), FAMILY_IDS.index(WATER_ACCESS)].sum()
-    tgo = total_game_output(state, player_id, state.turn)
+    mean_weight = player.owned_weight / player.owned_tiles if player.owned_tiles else 0.0
+    water = cluster_table(state.map).rule_mask[:, FAMILY_IDS.index(WATER_ACCESS)]
+    coast = sum(bool(water[state.index(c.coord)]) for c in player.cities)
     citizens = sum(c.citizens for c in player.cities)
     return np.array(
-        [state.turn, len(player.cities), citizens, tgo, len(player.settlers), mean_weight, specials_owned, coast],
+        [state.turn, len(player.cities), citizens, player.output, len(player.settlers), mean_weight,
+         player.specials_owned, coast],
         dtype=float,
     )
 

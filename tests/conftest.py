@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from settlebench import engine, harness, rl
+from settlebench.rulekb import default_kb
 from settlebench.world import GameMap, MapGenConfig, Tile, TerrainKind, generate_map
 
 
@@ -16,6 +17,16 @@ def single_state_model() -> rl.ClusterModel:
     n = len(rl.STATE_FEATURE_NAMES)
     return rl.ClusterModel(
         centroids=np.zeros((1, n)), feature_min=np.zeros(n), feature_max=np.ones(n), inertia=0.0, iterations=1
+    )
+
+
+def agent_of(kind: str, seed: int) -> harness.SettlementAgent:
+    """A random agent, or a rule agent exploring at epsilon 0.3 over one state."""
+    if kind == "random":
+        return harness.SettlementAgent(harness.RandomEvaluator(seed))
+    policy = rl.Policy(epsilon=0.3, seed=seed)
+    return harness.SettlementAgent(
+        harness.RuleEvaluator(default_kb(), single_state_model(), rl.ValueTable(), policy)
     )
 
 

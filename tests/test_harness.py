@@ -231,6 +231,19 @@ def test_bad_rl_sizes_are_refused_before_any_episode(monkeypatch, rl_config, mes
     assert played == []
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (dict(episodes=0), "episodes must be >= 1, got 0"),
+        (dict(metrics_window=0), "metrics_window must be >= 1, got 0"),
+        (dict(metrics_window=-3), "metrics_window must be >= 1, got -3"),
+    ],
+)
+def test_bad_experiment_sizes_are_refused(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**sizes)
+
+
 def test_metrics_from_logs_equals_live(tmp_path):
     config = small_experiment(evaluator="random", episodes=3)
     result = run_experiment(config, out_dir=str(tmp_path / "run"))

@@ -14,8 +14,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_state_model
-from settlebench import engine, rl
+from conftest import agent_of
+from settlebench import engine
 from settlebench.engine import (
     GameConfig,
     OutputPoints,
@@ -27,9 +27,8 @@ from settlebench.engine import (
     place_initial_settlers,
     run_episode,
     step_turn,
+    total_game_output,
 )
-from settlebench.harness import RandomEvaluator, RuleEvaluator, SettlementAgent
-from settlebench.rulekb import default_kb
 from settlebench.world import CLUSTER_OFFSETS, MapGenConfig, generate_map
 
 CONFIG = GameConfig(turn_limit=60)
@@ -54,13 +53,12 @@ def check_invariants(state) -> None:
         assert city_distance(a.coord, b.coord) >= cfg.min_city_distance, f"cities {a.id} and {b.id} too close"
     for player in state.players:
         assert len(player.cities) + len(player.settlers) <= cfg.max_cities
-
-
-def agent_of(kind: str, seed: int) -> SettlementAgent:
-    if kind == "random":
-        return SettlementAgent(RandomEvaluator(seed))
-    policy = rl.Policy(epsilon=0.3, seed=seed)
-    return SettlementAgent(RuleEvaluator(default_kb(), single_state_model(), rl.ValueTable(), policy))
+        # the running tallies equal a recount
+        owned = [t for t, owner in zip(state.map.tiles, state.owner) if owner == player.player_id]
+        assert player.owned_tiles == len(owned)
+        assert player.owned_weight == sum(state.weights[t.coord] for t in owned)
+        assert player.specials_owned == sum(t.special is not None for t in owned)
+        assert player.output == total_game_output(state, player.player_id, state.turn)
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,7 +80,8 @@ def test_invariants_hold_after_every_turn(map_seed, seed, kind):
 
 def reference_city_phase(state) -> None:
     """The city phase with all worked sets released and rebooked, in id
-    order, every turn, and each city's output summed from its worked set."""
+    order, every turn, and each city's output summed from its worked set
+    and added to its player's output tally."""
     cfg = state.config
     cities = sorted(state.all_cities(), key=lambda c: c.id)
     for city in cities:
@@ -95,6 +94,7 @@ def reference_city_phase(state) -> None:
         city.per_turn_history.append(
             OutputPoints(gold, luxury, science, total.food, total.production, total.trade)
         )
+        state.player(city.player).output += city.per_turn_history[-1].weighted_total()
         city.food_store = max(0, city.food_store + total.food - cfg.food_per_citizen * city.citizens)
         before = city.citizens
         threshold = cfg.growth_threshold_base * city.citizens
@@ -149,6 +149,10 @@ def city_view(state):
     ]
 
 
+def tallies(state):
+    return [(p.owned_tiles, p.owned_weight, p.specials_owned, p.output) for p in state.players]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 10_000),
@@ -171,5 +175,6 @@ def test_rebooking_on_change_equals_rebooking_every_turn(map_seed, seed, kind, s
         reference_turn(reference, reference_agent)
         assert city_view(state) == city_view(reference), f"turn {reference.turn}"
         assert state.worked_by == reference.worked_by
+        assert tallies(state) == tallies(reference)
         assert state.owner == reference.owner
     assert reference.finished

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_map
-from settlebench.engine import GameConfig, add_settler, found_city, new_game, step_turn
+from conftest import agent_of, flat_map
+from settlebench.engine import (
+    GameConfig,
+    add_settler,
+    found_city,
+    new_game,
+    run_episode,
+    step_turn,
+    total_game_output,
+)
 from settlebench.features import minmax_scale
 from settlebench.rl import (
     ClusterModel,
@@ -25,7 +33,8 @@ from settlebench.rl import (
     state_features,
     update_from_episode,
 )
-from settlebench.rulekb import default_kb
+from settlebench.rulekb import FAMILY_IDS, WATER_ACCESS, default_kb
+from settlebench.world import MapGenConfig, cluster_in_bounds, cluster_table, generate_map
 
 KB = default_kb()
 FAMILY = KB.families["terrain_grassland"]
@@ -42,6 +51,41 @@ def test_state_features_shape_and_content():
     assert vec[1] == 1.0  # one city
     assert vec[2] == 1.0  # one citizen
     assert vec[3] > 0  # some output accumulated
+
+
+def rescanned_state_features(state, player_id):
+    """state_features recomputed from the whole board and every city's whole
+    history: the reference for the running tallies."""
+    player = state.player(player_id)
+    owned = [t for t, owner in zip(state.map.tiles, state.owner) if owner == player_id]
+    mean_weight = sum(state.weights[(t.x, t.y)] for t in owned) / len(owned) if owned else 0.0
+    specials_owned = sum(1 for t in owned if t.special is not None)
+    seats = [c.coord for c in player.cities if cluster_in_bounds(state.map, c.coord)]
+    table = cluster_table(state.map)
+    coast = table.rule_mask[table.rows(seats), FAMILY_IDS.index(WATER_ACCESS)].sum()
+    tgo = total_game_output(state, player_id, state.turn)
+    citizens = sum(c.citizens for c in player.cities)
+    return np.array(
+        [state.turn, len(player.cities), citizens, tgo, len(player.settlers), mean_weight, specials_owned, coast],
+        dtype=float,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "kb"]),
+    st.sampled_from([1, 4]),
+)
+def test_tallied_state_features_equal_the_rescan_bit_for_bit(map_seed, seed, kind, settlers):
+    game_map = generate_map(MapGenConfig(), map_seed)
+    config = GameConfig(turn_limit=60, initial_settlers=settlers)
+
+    def check(state):
+        assert np.array_equal(state_features(state, 0), rescanned_state_features(state, 0)), f"turn {state.turn}"
+
+    run_episode(agent_of(kind, seed), config, seed, game_map=game_map, on_turn=check)
 
 
 # -- k-means ---------------------------------------------------------------------

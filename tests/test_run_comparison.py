@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from settlebench import features, harness, mlp
+from settlebench import engine, features, harness, mlp
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_comparison.py")
 
@@ -62,3 +62,22 @@ def test_kb_arm_equals_a_run_that_plays_its_own_warmup(bootstrap_episodes):
     assert kb.metrics.tgo == alone.metrics.tgo
     assert kb.table == alone.table
     assert np.array_equal(kb.cluster_model.centroids, alone.cluster_model.centroids)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (dict(episodes=0), "episodes must be >= 1, got 0"),
+        (dict(bootstrap_episodes=0), "bootstrap_episodes must be >= 1, got 0"),
+        (dict(window=-3), "metrics_window must be >= 1, got -3"),
+        (dict(epochs=-1), "epochs must be >= 0, got -1"),
+    ],
+)
+def test_bad_sizes_are_refused_before_the_corpus_is_played(monkeypatch, tmp_path, sizes, message):
+    played = []
+    monkeypatch.setattr(engine, "run_episode", lambda *args, **kwargs: played.append(args))
+    out = tmp_path / "cmp"
+    with pytest.raises(ValueError, match=message):
+        harness.run_comparison(turn_limit=30, out_dir=str(out), **sizes)
+    assert played == []
+    assert not out.exists()
