@@ -19,6 +19,7 @@ the placement choice is the only evaluator-dependent behaviour.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -74,51 +75,45 @@ class OutputPoints:
         return self.gold + self.luxury + self.science + self.food + 2 * self.production + self.trade
 
 
-@dataclass(frozen=True)
-class Ruleset:
-    terrain_yields: dict[TerrainKind, YieldTriple]
-    special_bonuses: dict[SpecialKind, YieldTriple]
-    river_trade_bonus: int = 1
-    # the city center tile counts as developed; without extra center food a
-    # size-1 city can never out-produce its own consumption and never grows
-    center_bonus: YieldTriple = YieldTriple(food=2, production=1)
-
-
-def default_ruleset() -> Ruleset:
-    terrain_yields = {
-        TerrainKind.GRASSLAND: YieldTriple(2, 0, 0),
-        TerrainKind.PLAINS: YieldTriple(1, 1, 0),
-        TerrainKind.HILLS: YieldTriple(1, 2, 0),
-        TerrainKind.FOREST: YieldTriple(1, 2, 0),
-        TerrainKind.MOUNTAINS: YieldTriple(0, 2, 0),
-        TerrainKind.DESERT: YieldTriple(0, 1, 0),
-        TerrainKind.SWAMP: YieldTriple(1, 0, 0),
-        TerrainKind.JUNGLE: YieldTriple(1, 0, 0),
-        TerrainKind.TUNDRA: YieldTriple(1, 0, 0),
-        TerrainKind.OCEAN: YieldTriple(1, 0, 2),
-        TerrainKind.DEEP_OCEAN: YieldTriple(1, 0, 1),
-    }
-    special_bonuses = {
-        SpecialKind.BULL: YieldTriple(production=2),
-        SpecialKind.OASIS: YieldTriple(food=3),
-        SpecialKind.GEMS: YieldTriple(trade=3),
-        SpecialKind.GOLD: YieldTriple(trade=4),
-        SpecialKind.IRON: YieldTriple(production=2),
-        SpecialKind.WINE: YieldTriple(trade=3),
-        SpecialKind.SILK: YieldTriple(trade=2),
-        SpecialKind.PHEASANT: YieldTriple(food=2),
-        SpecialKind.WHEAT: YieldTriple(food=2),
-        SpecialKind.HORSES: YieldTriple(production=1),
-        SpecialKind.FRUIT: YieldTriple(food=2),
-        SpecialKind.FURS: YieldTriple(trade=2),
-        SpecialKind.DEER: YieldTriple(food=2),
-        SpecialKind.PEAT: YieldTriple(production=2),
-        SpecialKind.SPICE: YieldTriple(trade=3),
-        SpecialKind.FISH: YieldTriple(food=2),
-        # boosts two products at once, which is why players favour it
-        SpecialKind.WHALES: YieldTriple(food=1, production=1),
-    }
-    return Ruleset(terrain_yields=terrain_yields, special_bonuses=special_bonuses)
+# The game rules, fixed for every game: base yield per terrain, the bonus a
+# special resource adds, the trade a river adds, and the center bonus.
+TERRAIN_YIELDS = {
+    TerrainKind.GRASSLAND: YieldTriple(2, 0, 0),
+    TerrainKind.PLAINS: YieldTriple(1, 1, 0),
+    TerrainKind.HILLS: YieldTriple(1, 2, 0),
+    TerrainKind.FOREST: YieldTriple(1, 2, 0),
+    TerrainKind.MOUNTAINS: YieldTriple(0, 2, 0),
+    TerrainKind.DESERT: YieldTriple(0, 1, 0),
+    TerrainKind.SWAMP: YieldTriple(1, 0, 0),
+    TerrainKind.JUNGLE: YieldTriple(1, 0, 0),
+    TerrainKind.TUNDRA: YieldTriple(1, 0, 0),
+    TerrainKind.OCEAN: YieldTriple(1, 0, 2),
+    TerrainKind.DEEP_OCEAN: YieldTriple(1, 0, 1),
+}
+SPECIAL_BONUSES = {
+    SpecialKind.BULL: YieldTriple(production=2),
+    SpecialKind.OASIS: YieldTriple(food=3),
+    SpecialKind.GEMS: YieldTriple(trade=3),
+    SpecialKind.GOLD: YieldTriple(trade=4),
+    SpecialKind.IRON: YieldTriple(production=2),
+    SpecialKind.WINE: YieldTriple(trade=3),
+    SpecialKind.SILK: YieldTriple(trade=2),
+    SpecialKind.PHEASANT: YieldTriple(food=2),
+    SpecialKind.WHEAT: YieldTriple(food=2),
+    SpecialKind.HORSES: YieldTriple(production=1),
+    SpecialKind.FRUIT: YieldTriple(food=2),
+    SpecialKind.FURS: YieldTriple(trade=2),
+    SpecialKind.DEER: YieldTriple(food=2),
+    SpecialKind.PEAT: YieldTriple(production=2),
+    SpecialKind.SPICE: YieldTriple(trade=3),
+    SpecialKind.FISH: YieldTriple(food=2),
+    # boosts two products at once, which is why players favour it
+    SpecialKind.WHALES: YieldTriple(food=1, production=1),
+}
+RIVER_TRADE_BONUS = 1
+# the city center tile counts as developed; without extra center food a
+# size-1 city can never out-produce its own consumption and never grows
+CENTER_BONUS = YieldTriple(food=2, production=1)
 
 
 @dataclass
@@ -134,7 +129,6 @@ class GameConfig:
     initial_settlers: int = 1
     start_position: tuple[int, int] | None = None
     max_city_size: int = 21
-    ruleset: Ruleset = field(default_factory=default_ruleset)
 
     def __post_init__(self):
         if self.turn_limit < 1:
@@ -148,13 +142,13 @@ class GameConfig:
             raise ValueError("trade_split rates must be non-negative and sum to 1")
 
 
-def tile_yield(tile, ruleset: Ruleset) -> YieldTriple:
+def tile_yield(tile) -> YieldTriple:
     """Base terrain yield plus special bonus plus river trade bonus."""
-    y = ruleset.terrain_yields[tile.terrain]
+    y = TERRAIN_YIELDS[tile.terrain]
     if tile.special is not None:
-        y = y + ruleset.special_bonuses[tile.special]
+        y = y + SPECIAL_BONUSES[tile.special]
     if tile.river:
-        y = y + YieldTriple(trade=ruleset.river_trade_bonus)
+        y = y + YieldTriple(trade=RIVER_TRADE_BONUS)
     return y
 
 
@@ -181,7 +175,6 @@ class City:
     worked: set[tuple[int, int]] = field(default_factory=set)
     food_store: int = 0
     production_store: int = 0
-    per_turn_history: list[OutputPoints] = field(default_factory=list)
     # per-turn output of `worked` and its (y, x)-sorted list for the turn
     # record; both dropped whenever `worked` changes
     points: OutputPoints | None = field(default=None, init=False, repr=False, compare=False)
@@ -212,10 +205,10 @@ class PlayerState:
     player_id: int
     cities: list[City] = field(default_factory=list)
     settlers: list[Settler] = field(default_factory=list)
-    # running tallies for the RL state features. Tiles are only ever claimed,
-    # never released, and weights are ints, so the tile tallies equal a
-    # recount over `GameState.owner`; `output` is the sum of every city's
-    # `per_turn_history`, which the city phase only appends to.
+    # running tallies, for the RL state features. Tiles are only ever
+    # claimed, never released, and weights are ints, so the tile tallies
+    # equal a recount over `GameState.owner`. `output` is the player's TGO
+    # so far: the city phase adds each city's weighted points every turn.
     owned_tiles: int = 0
     owned_weight: int = 0
     specials_owned: int = 0
@@ -268,7 +261,7 @@ class GameState:
     # working city id, None when free; the map itself holds no game state
     owner: list[int | None] = field(default_factory=list, repr=False)
     worked_by: list[int | None] = field(default_factory=list, repr=False)
-    # per (map, ruleset), shared by every game on the map; read only
+    # per map, shared by every game on the map; read only
     yields: dict[tuple[int, int], YieldTriple] = field(default_factory=dict, repr=False)
     # per-turn contribution of a worked tile to the weighted output sum:
     # food + 2*production + trade + (gold+luxury+science), and the derived
@@ -293,7 +286,7 @@ class GameState:
 
 
 def new_game(game_map: GameMap, config: GameConfig, num_players: int = 1) -> GameState:
-    yields, weights = _tile_yields(game_map, config.ruleset)
+    yields, weights = _tile_yields(game_map)
     return GameState(
         map=game_map,
         config=config,
@@ -305,26 +298,20 @@ def new_game(game_map: GameMap, config: GameConfig, num_players: int = 1) -> Gam
     )
 
 
-def _tile_yields(game_map: GameMap, rules: Ruleset):
-    """Per-tile yields and weights, cached on the map beside its cluster
-    table for the last ruleset asked for. A `Ruleset` holds dicts and has no
-    hash, so the one entry keeps a copy of it and is matched with `==`:
-    replays build an equal ruleset per log."""
-    cached = game_map._yields
-    if cached is None or cached[0] != rules:
+def _tile_yields(game_map: GameMap):
+    """Per-tile yields and weights, built once per map and cached on it
+    beside its cluster table."""
+    if game_map._yields is None:
         yields, weights = {}, {}
         by_kind: dict[tuple, tuple[YieldTriple, int]] = {}  # (terrain, special, river) -> (yield, weight)
         for t in game_map.tiles:
             kind = (t.terrain, t.special, t.river)
             if kind not in by_kind:
-                y = tile_yield(t, rules)
+                y = tile_yield(t)
                 by_kind[kind] = (y, y.food + 2 * y.production + 2 * y.trade)
             yields[(t.x, t.y)], weights[(t.x, t.y)] = by_kind[kind]
-        key = dataclasses.replace(
-            rules, terrain_yields=dict(rules.terrain_yields), special_bonuses=dict(rules.special_bonuses)
-        )
-        cached = game_map._yields = (key, yields, weights)
-    return cached[1], cached[2]
+        game_map._yields = (yields, weights)
+    return game_map._yields
 
 
 def add_settler(state: GameState, player_id: int, coord: tuple[int, int]) -> Settler:
@@ -524,7 +511,6 @@ def _city_phase(state: GameState) -> None:
 
     for city in cities:
         points = _city_points(state, city)
-        city.per_turn_history.append(points)
         player = state.player(city.player)
         player.output += city.points_total
         if state.events is not None:
@@ -578,7 +564,7 @@ def _city_points(state: GameState, city: City) -> OutputPoints:
         total = YieldTriple()
         for coord in city.worked:
             total = total + state.yields[coord]
-        total = total + cfg.ruleset.center_bonus
+        total = total + CENTER_BONUS
         gold, luxury, science = convert_trade(total.trade, cfg.trade_split)
         city.points = OutputPoints(
             gold=gold,
@@ -631,22 +617,6 @@ def _play_turn(state: GameState, agent) -> None:
         state.turn += 1
 
 
-def city_output(city: City, T: int) -> int:
-    """Accumulated weighted points through turn T; pre-founding turns are zero."""
-    total = 0
-    for i, points in enumerate(city.per_turn_history):
-        if city.founded_turn + i > T:
-            break
-        total += points.weighted_total()
-    return total
-
-
-def total_game_output(state: GameState, player_id: int, T: int | None = None) -> int:
-    if T is None:
-        T = state.turn
-    return sum(city_output(c, T) for c in state.player(player_id).cities)
-
-
 # ---------------------------------------------------------------------------
 # Episode driving and the line-delimited log format
 
@@ -678,14 +648,6 @@ class EpisodeLog:
             if cr.city_id == city_id
         ]
 
-    def city_ids(self, player: int | None = None) -> list[int]:
-        ids: list[int] = []
-        for tr in self.turns:
-            for f in tr.foundings:
-                if player is None or f.player == player:
-                    ids.append(f.city_id)
-        return ids
-
 
 def run_episode(
     agent,
@@ -712,7 +674,6 @@ def run_episode(
         turns.append(step_turn(state, agent))
         if on_turn is not None:
             on_turn(state)
-    tgo = total_game_output(state, player_id, config.turn_limit)
     return EpisodeLog(
         seed=seed,
         map_text=map_text,
@@ -720,7 +681,7 @@ def run_episode(
         evaluator=evaluator_name,
         player=player_id,
         turns=turns,
-        final_tgo=tgo,
+        final_tgo=state.player(player_id).output,
     )
 
 
@@ -756,41 +717,40 @@ def replay_episode(log: EpisodeLog) -> int:
     agent = ReplayAgent(log)
     while not state.finished:
         _play_turn(state, agent)
-    return total_game_output(state, log.player, log.config.turn_limit)
+    return state.player(log.player).output
 
 
 # -- config / log (de)serialization -----------------------------------------
 
 
+def _triple(y: YieldTriple) -> list[int]:
+    return [y.food, y.production, y.trade]
+
+
+# the fixed rules as config_to_dict writes them into every log and config.json
+_RULES_BLOCK = {
+    "terrain_yields": {k.value: _triple(y) for k, y in TERRAIN_YIELDS.items()},
+    "special_bonuses": {k.value: _triple(y) for k, y in SPECIAL_BONUSES.items()},
+    "river_trade_bonus": RIVER_TRADE_BONUS,
+    "center_bonus": _triple(CENTER_BONUS),
+}
+
+
 def config_to_dict(config: GameConfig) -> dict:
-    """JSON-ready fields; tuples are left for the encoder to write as arrays."""
-    rules = config.ruleset
-
-    def triple(y: YieldTriple) -> list[int]:
-        return [y.food, y.production, y.trade]
-
-    ruleset = {
-        "terrain_yields": {k.value: triple(y) for k, y in rules.terrain_yields.items()},
-        "special_bonuses": {k.value: triple(y) for k, y in rules.special_bonuses.items()},
-        "river_trade_bonus": rules.river_trade_bonus,
-        "center_bonus": triple(rules.center_bonus),
-    }
-    return {**vars(config), "ruleset": ruleset}
+    """JSON-ready fields and a copy of the fixed rules; tuples are left for
+    the encoder to write as arrays."""
+    return {**vars(config), "ruleset": copy.deepcopy(_RULES_BLOCK)}
 
 
 def config_from_dict(d: dict) -> GameConfig:
+    """Inverse of config_to_dict; refuses rules other than the engine's."""
     d = dict(d)
-    rs = d.pop("ruleset")
-    ruleset = Ruleset(
-        terrain_yields={TerrainKind(k): YieldTriple(*v) for k, v in rs["terrain_yields"].items()},
-        special_bonuses={SpecialKind(k): YieldTriple(*v) for k, v in rs["special_bonuses"].items()},
-        river_trade_bonus=rs["river_trade_bonus"],
-        center_bonus=YieldTriple(*rs["center_bonus"]),
-    )
+    if d.pop("ruleset", None) != _RULES_BLOCK:
+        raise ValueError("config names game rules other than the engine's fixed ones")
     d["trade_split"] = tuple(d["trade_split"])
     if d.get("start_position") is not None:
         d["start_position"] = tuple(d["start_position"])
-    return GameConfig(ruleset=ruleset, **d)
+    return GameConfig(**d)
 
 
 # json.dumps(obj, sort_keys=True) without building a new encoder per record
@@ -842,13 +802,20 @@ def write_episode_log(log: EpisodeLog, path) -> None:
 def read_episode_log(path) -> EpisodeLog:
     with open(path) as fh:
         lines = [line for line in fh if line.strip()]
-    header = json.loads(lines[0]) if lines else {}
-    footer = json.loads(lines[-1]) if lines else {}
+
+    def record(line: str) -> dict:
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: a record is not a JSON object")
+        return rec
+
+    header = record(lines[0]) if lines else {}
+    footer = record(lines[-1]) if lines else {}
     if header.get("kind") != "header" or footer.get("kind") != "footer":
         raise ValueError(f"{path}: not a complete episode log")
     turns = []
     # decoded one line at a time, so only the built records outlive the loop
-    for rec in map(json.loads, lines[1:-1]):
+    for rec in map(record, lines[1:-1]):
         if rec.get("kind") != "turn":
             raise ValueError(f"{path}: unexpected record kind {rec.get('kind')!r}")
         turns.append(
@@ -872,10 +839,14 @@ def read_episode_log(path) -> EpisodeLog:
         )
     if footer["turns"] != len(turns):
         raise ValueError(f"{path}: footer reports {footer['turns']} turns, found {len(turns)}")
+    try:
+        config = config_from_dict(header["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return EpisodeLog(
         seed=header["seed"],
         map_text=header["map"],
-        config=config_from_dict(header["config"]),
+        config=config,
         evaluator=header["evaluator"],
         player=header["player"],
         turns=turns,

@@ -96,7 +96,7 @@ def city_label(log: EpisodeLog, city_id: int) -> float:
     """Weighted output over the city's first LABEL_HORIZON turns of existence."""
     points = log.city_points(city_id)
     if not points:
-        if city_id not in log.city_ids():
+        if all(f.city_id != city_id for f in log.foundings()):
             raise KeyError(f"city {city_id} not in log")
         return 0.0
     return float(sum(p.weighted_total() for p in points[:LABEL_HORIZON]))
@@ -177,9 +177,9 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 def read_dataset_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or tuple(header[:-1]) != COLUMNS:
-            raise ValueError(f"{path}: header does not match feature layout v{LAYOUT_VERSION}")
+        header = next(reader, None)
+        if header != [*COLUMNS, "label"]:
+            raise ValueError(f"{path}: header missing or not feature layout v{LAYOUT_VERSION}")
         rows = [[float(v) for v in row] for row in reader]
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     return Dataset(x=table[:, :-1], y=table[:, -1])

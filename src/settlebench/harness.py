@@ -262,7 +262,7 @@ def export_metrics_csv(metrics: RunMetrics, path) -> None:
 def read_metrics_csv(path, window: int = 1) -> RunMetrics:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["episode", "tgo", "running_avg"]:
             raise ValueError(f"{path}: unexpected metrics header {header}")
         rows = list(reader)
@@ -288,6 +288,8 @@ class RlConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.warmup_episodes < 1:
             raise ValueError(f"warmup_episodes must be >= 1, got {self.warmup_episodes}")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
 
 @dataclass
@@ -376,8 +378,6 @@ def run_experiment(
 
     evaluator: Evaluator
     if config.evaluator == "kb":
-        # built first, so that a bad epsilon is refused before the warmup is played
-        policy = rl.Policy(epsilon=config.rl.epsilon, seed=episode_seed(config.base_seed, 0, "policy"))
         if cluster_model is None:
             _, points = bootstrap_corpus(
                 config.game,
@@ -396,6 +396,7 @@ def run_experiment(
                     "epsilon": str(config.rl.epsilon),
                 }
             )
+        policy = rl.Policy(epsilon=config.rl.epsilon, seed=episode_seed(config.base_seed, 0, "policy"))
         evaluator = RuleEvaluator(rulekb.default_kb(), cluster_model, table, policy)
     elif config.evaluator == "nn":
         if nn is None:

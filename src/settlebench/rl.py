@@ -36,9 +36,8 @@ STATE_FEATURE_NAMES = (
 def state_features(state: GameState, player_id: int) -> np.ndarray:
     """Numeric summary of a game state for one player, in STATE_FEATURE_NAMES order.
 
-    Owned tiles and output are read from the player's running tallies, so a
-    call costs O(cities). Every history entry falls within `state.turn` here,
-    so `output` is `total_game_output(state, player_id, state.turn)`.
+    Owned tiles and output so far are read from the player's running
+    tallies, so a call costs O(cities).
     """
     player = state.player(player_id)
     mean_weight = player.owned_weight / player.owned_tiles if player.owned_tiles else 0.0
@@ -199,8 +198,6 @@ class Policy:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         self.rng = random.Random(self.seed)
 
 

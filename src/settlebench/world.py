@@ -146,7 +146,7 @@ class GameMap:
     tiles: list[Tile]  # row-major, y*width + x
     seed: int
     # static per-map facts, built on first use by cluster_table(),
-    # encode_map() and engine.new_game() (tile yields per ruleset); copies
+    # encode_map() and engine.new_game() (tile yields and weights); copies
     # start without them
     _cluster_table: ClusterTable | None = field(default=None, init=False, repr=False, compare=False)
     _text: str | None = field(default=None, init=False, repr=False, compare=False)

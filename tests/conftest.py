@@ -30,6 +30,22 @@ def agent_of(kind: str, seed: int) -> harness.SettlementAgent:
     )
 
 
+def play_journaled(agent, config: engine.GameConfig, game_map: GameMap):
+    """Play one game turn by turn; after each turn, yields the state and the
+    turn journal so far (the `step_turn` records)."""
+    state = engine.new_game(game_map, config)
+    engine.place_initial_settlers(state)
+    journal = []
+    while not state.finished:
+        journal.append(engine.step_turn(state, agent))
+        yield state, journal
+
+
+def journaled_output(journal, player_id: int) -> int:
+    """A player's output so far, recounted from the turn journal."""
+    return sum(cr.points.weighted_total() for tr in journal for cr in tr.cities if cr.player == player_id)
+
+
 @pytest.fixture
 def grass_map():
     return flat_map()

@@ -1,21 +1,19 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import flat_map
+from conftest import flat_map, journaled_output, play_journaled
 from settlebench import engine, world
 from settlebench.engine import (
-    City,
     GameConfig,
     OutputPoints,
     SimulationError,
     add_settler,
     assign_citizens,
-    city_output,
     convert_trade,
-    default_ruleset,
     found_city,
     is_legal_founding_site,
     legal_founding_sites,
@@ -27,7 +25,6 @@ from settlebench.engine import (
     set_settler_target,
     step_turn,
     tile_yield,
-    total_game_output,
     write_episode_log,
 )
 from settlebench.world import (
@@ -40,8 +37,6 @@ from settlebench.world import (
     encode_map,
     generate_map,
 )
-
-RULES = default_ruleset()
 
 
 class WeightAgent:
@@ -70,13 +65,13 @@ def grass_state(turn_limit=40, **kwargs) -> "GameState":
 
 def test_tile_yield_grassland_matches_default_table():
     t = Tile(x=0, y=0, terrain=TerrainKind.GRASSLAND)
-    assert tile_yield(t, RULES) == dataclasses.replace(tile_yield(t, RULES), food=2, production=0, trade=0)
+    assert tile_yield(t) == dataclasses.replace(tile_yield(t), food=2, production=0, trade=0)
 
 
 def test_whales_boost_two_components():
     ocean = Tile(x=0, y=0, terrain=TerrainKind.OCEAN)
     whales = Tile(x=0, y=0, terrain=TerrainKind.OCEAN, special=SpecialKind.WHALES)
-    a, b = tile_yield(ocean, RULES), tile_yield(whales, RULES)
+    a, b = tile_yield(ocean), tile_yield(whales)
     improved = sum(1 for u, v in ((a.food, b.food), (a.production, b.production), (a.trade, b.trade)) if v > u)
     assert improved >= 2
 
@@ -84,35 +79,62 @@ def test_whales_boost_two_components():
 @given(st.sampled_from(list(SpecialKind)))
 def test_special_bonus_never_decreases_yield(special):
     terrain = SPECIAL_TERRAINS[special][0]
-    bare = tile_yield(Tile(x=0, y=0, terrain=terrain), RULES)
-    special_tile = tile_yield(Tile(x=0, y=0, terrain=terrain, special=special), RULES)
+    bare = tile_yield(Tile(x=0, y=0, terrain=terrain))
+    special_tile = tile_yield(Tile(x=0, y=0, terrain=terrain, special=special))
     assert special_tile.food >= bare.food
     assert special_tile.production >= bare.production
     assert special_tile.trade >= bare.trade
 
 
 def test_river_adds_trade():
-    bare = tile_yield(Tile(x=0, y=0, terrain=TerrainKind.PLAINS), RULES)
-    river = tile_yield(Tile(x=0, y=0, terrain=TerrainKind.PLAINS, river=True), RULES)
-    assert river.trade == bare.trade + RULES.river_trade_bonus
+    bare = tile_yield(Tile(x=0, y=0, terrain=TerrainKind.PLAINS))
+    river = tile_yield(Tile(x=0, y=0, terrain=TerrainKind.PLAINS, river=True))
+    assert river.trade == bare.trade + engine.RIVER_TRADE_BONUS
 
 
-def test_yields_are_built_once_per_map_and_ruleset():
+def test_yields_are_built_once_per_map():
     game_map = flat_map(12, 12)
     game_map.tile(6, 5).special = SpecialKind.WHEAT
-    wheat = game_map.tile(6, 5)
     first = new_game(game_map, GameConfig())
-    # a replay decodes an equal ruleset from its log: the tables are shared
-    equal = engine.config_from_dict(engine.config_to_dict(GameConfig()))
-    second = new_game(game_map, equal)
+    # a replay decodes its config from the log: the tables are still shared
+    second = new_game(game_map, engine.config_from_dict(engine.config_to_dict(GameConfig(turn_limit=7))))
     assert second.yields is first.yields and second.weights is first.weights
-    rules = default_ruleset()
-    rules.special_bonuses[SpecialKind.WHEAT] = engine.YieldTriple(food=5)
-    assert new_game(game_map, GameConfig(ruleset=rules)).yields[(6, 5)] == tile_yield(wheat, rules)
-    # the cache holds a copy of its ruleset: one edited after use is a new ruleset
-    rules.special_bonuses[SpecialKind.WHEAT] = engine.YieldTriple(food=1)
-    assert new_game(game_map, GameConfig(ruleset=rules)).yields[(6, 5)] == tile_yield(wheat, rules)
-    assert new_game(game_map, GameConfig()).yields[(6, 5)] == tile_yield(wheat, RULES)
+    # grassland (2, 0, 0) plus the wheat bonus (2, 0, 0)
+    assert first.yields[(6, 5)] == tile_yield(game_map.tile(6, 5)) == engine.YieldTriple(food=4)
+    assert first.weights[(6, 5)] == 4
+    assert new_game(flat_map(12, 12), GameConfig()).yields is not first.yields
+
+
+def test_config_dicts_carry_a_fresh_copy_of_the_fixed_rules():
+    d = engine.config_to_dict(GameConfig())
+    assert d["ruleset"]["terrain_yields"]["Grassland"] == [2, 0, 0]
+    assert d["ruleset"]["center_bonus"] == [2, 1, 0] and d["ruleset"]["river_trade_bonus"] == 1
+    d["ruleset"]["terrain_yields"]["Grassland"][0] = 9
+    assert engine.config_to_dict(GameConfig())["ruleset"]["terrain_yields"]["Grassland"] == [2, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rules: rules["terrain_yields"].__setitem__("Grassland", [3, 0, 0]),
+        lambda rules: rules["special_bonuses"].pop("Whales"),
+        lambda rules: rules.__setitem__("river_trade_bonus", 2),
+        lambda rules: rules.__setitem__("center_bonus", [2, 1, 1]),
+    ],
+)
+def test_a_log_naming_other_rules_is_refused(tmp_path, edit):
+    log = run_episode(WeightAgent(), GameConfig(turn_limit=5), 3)
+    path = tmp_path / "episode.jsonl"
+    write_episode_log(log, path)
+    header, *rest = path.read_text().splitlines()
+    header = json.loads(header)
+    edit(header["config"]["ruleset"])
+    path.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: config names game rules other than the engine's fixed ones"):
+        read_episode_log(path)
+    del header["config"]["ruleset"]
+    with pytest.raises(ValueError, match="other than the engine's fixed ones"):
+        engine.config_from_dict(header["config"])
 
 
 # -- trade conversion ----------------------------------------------------------
@@ -275,15 +297,15 @@ def test_evicted_neighbour_loses_the_points_of_the_new_center():
         if coord != (7, 5):
             state.owner[i] = 1
     old.citizens = 2
-    step_turn(state)
+    record = step_turn(state)
     assert old.worked == {(5, 5), (7, 5)}
-    assert old.per_turn_history[-1] == OutputPoints(food=6, production=1)
+    assert [cr.points for cr in record.cities if cr.city_id == old.id] == [OutputPoints(food=6, production=1)]
     add_settler(state, 0, (7, 5))
     found_city(state, 0, (7, 5))
-    step_turn(state)
+    record = step_turn(state)
     assert old.worked == {(5, 5)} and old.citizens == 1
     # grass center 2 + center bonus (2, 1, 0): the lost tile's 2 food are gone
-    assert old.per_turn_history[-1] == OutputPoints(food=4, production=1)
+    assert [cr.points for cr in record.cities if cr.city_id == old.id] == [OutputPoints(food=4, production=1)]
 
 
 # -- turn stepping -----------------------------------------------------------------
@@ -299,10 +321,13 @@ def test_step_turn_without_cities_only_advances():
 def test_step_turn_all_grassland_city_output():
     state = grass_state()
     add_settler(state, 0, (5, 5))
-    city = found_city(state, 0, (5, 5))
-    step_turn(state)
-    # derived from the default ruleset: grass (2,0,0) + center bonus (2,1,0)
-    assert city.per_turn_history == [OutputPoints(gold=0, luxury=0, science=0, food=4, production=1, trade=0)]
+    found_city(state, 0, (5, 5))
+    record = step_turn(state)
+    # derived from the fixed rules: grass (2,0,0) + center bonus (2,1,0)
+    assert [cr.points for cr in record.cities] == [
+        OutputPoints(gold=0, luxury=0, science=0, food=4, production=1, trade=0)
+    ]
+    assert state.players[0].output == 4 + 2 * 1
 
 
 def test_growth_crosses_threshold():
@@ -345,44 +370,47 @@ def test_step_past_turn_limit_raises():
 
 
 def test_city_output_zero_history():
-    city = City(id=0, player=0, x=5, y=5, founded_turn=1)
-    assert city_output(city, 10) == 0
+    state = grass_state()
+    add_settler(state, 0, (5, 5))
+    found_city(state, 0, (5, 5))
+    assert state.players[0].output == 0  # founded, but no turn played yet
 
 
 def test_city_output_weighted_sum():
-    city = City(id=0, player=0, x=5, y=5, founded_turn=1)
-    city.per_turn_history.append(OutputPoints(gold=1, luxury=0, science=1, food=2, production=3, trade=2))
+    points = OutputPoints(gold=1, luxury=0, science=1, food=2, production=3, trade=2)
     # 1 + 0 + 1 + 2 + 2*3 + 2
-    assert city_output(city, 1) == 12
+    assert points.weighted_total() == 12
 
 
 def test_city_output_before_founding_is_zero():
-    city = City(id=0, player=0, x=5, y=5, founded_turn=50)
-    city.per_turn_history.append(OutputPoints(food=5))
-    assert city_output(city, 49) == 0
-    assert city_output(city, 50) == 5
+    state = grass_state()
+    add_settler(state, 0, (5, 5))
+    for _ in range(3):
+        step_turn(state)
+    assert state.players[0].output == 0
+    found_city(state, 0, (5, 5))
+    step_turn(state)
+    # grass center (2, 0, 0) + center bonus (2, 1, 0): 4 food + 2 * 1 production
+    assert state.players[0].output == 6
 
 
 def test_total_game_output_additivity():
     state = grass_state()
-    a = City(id=0, player=0, x=5, y=5, founded_turn=1)
-    a.per_turn_history.append(OutputPoints(food=10))
-    b = City(id=1, player=0, x=8, y=8, founded_turn=1)
-    b.per_turn_history.append(OutputPoints(food=15))
-    state.players[0].cities.extend([a, b])
-    assert total_game_output(state, 0, 1) == 25
-    state.players[0].cities.clear()
-    assert total_game_output(state, 0, 1) == 0
+    for coord in ((3, 3), (8, 8)):
+        add_settler(state, 0, coord)
+        found_city(state, 0, coord)
+    record = step_turn(state)
+    assert [cr.points.weighted_total() for cr in record.cities] == [6, 6]
+    assert state.players[0].output == 12
 
 
 def test_tgo_monotone_in_turn():
-    log_state = grass_state(turn_limit=30)
-    place_initial_settlers(log_state)
-    agent = WeightAgent()
-    while not log_state.finished:
-        step_turn(log_state, agent)
-    values = [total_game_output(log_state, 0, t) for t in range(1, 31)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
+    outputs = []
+    for state, journal in play_journaled(WeightAgent(), GameConfig(turn_limit=30), flat_map(12, 12)):
+        outputs.append(state.players[0].output)
+        assert outputs[-1] == journaled_output(journal, 0)
+    assert len(outputs) == 30 and outputs[-1] > 0
+    assert all(b >= a for a, b in zip(outputs, outputs[1:]))
 
 
 # -- episodes -----------------------------------------------------------------
@@ -517,11 +545,13 @@ def test_truncated_log_rejected(tmp_path):
 def test_history_length_invariant():
     state = grass_state(turn_limit=20)
     add_settler(state, 0, (5, 5))
-    found_city(state, 0, (5, 5))
+    city = found_city(state, 0, (5, 5))
+    journal = []
     while not state.finished:
-        step_turn(state)
-    city = state.players[0].cities[0]
-    assert len(city.per_turn_history) == state.turn - city.founded_turn + 1
+        journal.append(step_turn(state))
+    # one journal record per turn, from the founding turn through the last
+    turns = [tr.turn for tr in journal for cr in tr.cities if cr.city_id == city.id]
+    assert turns == list(range(city.founded_turn, state.turn + 1))
 
 
 def test_settler_blocked_by_water_idles():

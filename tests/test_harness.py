@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,7 @@ def test_config_naming_a_removed_field_is_refused(section, key):
         (dict(k=0), "k must be >= 1, got 0"),
         (dict(warmup_episodes=0), "warmup_episodes must be >= 1, got 0"),
         (dict(epsilon=1.5), r"epsilon must lie in \[0, 1\], got 1.5"),
+        (dict(epsilon=-0.1), r"epsilon must lie in \[0, 1\], got -0.1"),
     ],
 )
 def test_bad_rl_sizes_are_refused_before_any_episode(monkeypatch, rl_config, message):
@@ -376,6 +378,32 @@ def test_run_dir_rejects_a_log_that_disagrees_with_its_metrics_row(tmp_path):
     export_metrics_csv(metrics, run / "metrics.csv")
     with pytest.raises(ValueError, match="episode 1 log has final_tgo"):
         load_run_dir(str(run))
+
+
+def test_a_run_dir_naming_other_rules_is_refused(tmp_path):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=1), out_dir=str(run))
+    config = json.loads((run / "config.json").read_text())
+    config["game"]["ruleset"]["special_bonuses"]["Wheat"] = [5, 0, 0]
+    (run / "config.json").write_text(json.dumps(config))
+    with pytest.raises(ValueError, match="config names game rules other than the engine's fixed ones"):
+        load_run_dir(str(run))
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [
+        (features.read_dataset_csv, ""),
+        (read_metrics_csv, ""),
+        (engine.read_episode_log, "[1, 2]\n"),
+        (engine.read_episode_log, '{"kind": "header"}\n"turn"\n{"kind": "footer", "turns": 1}\n'),
+    ],
+)
+def test_readers_refuse_bad_input_naming_the_file(tmp_path, reader, content):
+    path = tmp_path / "input.txt"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        reader(path)
 
 
 # -- comparison -------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Engine invariants, checked after every turn of generated episodes.
 
 `check_invariants` restates the bookkeeping rules the engine keeps by
-construction; `run_episode(on_turn=...)` applies it after each turn of
-random-agent and rule-agent games over many maps and episode seeds.
+construction, and is applied after each turn of random-agent and
+rule-agent games over many maps and episode seeds.
 
 The engine rebooks worked tiles only after a founding or a head-count
 change. `reference_city_phase` rebooks every city every turn, and a game
@@ -14,27 +14,29 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agent_of
+from conftest import agent_of, journaled_output, play_journaled
 from settlebench import engine
 from settlebench.engine import (
+    CENTER_BONUS,
+    CityTurnRecord,
     GameConfig,
     OutputPoints,
+    TurnRecord,
     add_settler,
     assign_citizens,
     city_distance,
     convert_trade,
     new_game,
     place_initial_settlers,
-    run_episode,
     step_turn,
-    total_game_output,
 )
 from settlebench.world import CLUSTER_OFFSETS, MapGenConfig, generate_map
 
 CONFIG = GameConfig(turn_limit=60)
 
 
-def check_invariants(state) -> None:
+def check_invariants(state, journal) -> None:
+    """The bookkeeping rules, after the turns of `journal` were played."""
     cfg = state.config
     cities = list(state.all_cities())
     booked = [None] * len(state.worked_by)
@@ -58,21 +60,16 @@ def check_invariants(state) -> None:
         assert player.owned_tiles == len(owned)
         assert player.owned_weight == sum(state.weights[t.coord] for t in owned)
         assert player.specials_owned == sum(t.special is not None for t in owned)
-        assert player.output == total_game_output(state, player.player_id, state.turn)
+        assert player.output == journaled_output(journal, player.player_id)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 2**32 - 1), st.sampled_from(["random", "kb"]))
 def test_invariants_hold_after_every_turn(map_seed, seed, kind):
     game_map = generate_map(MapGenConfig(), map_seed)
-    turns = []
-
-    def check(state):
-        check_invariants(state)
-        turns.append(state.turn)
-
-    log = run_episode(agent_of(kind, seed), CONFIG, seed, game_map=game_map, on_turn=check)
-    assert len(turns) == len(log.turns) == CONFIG.turn_limit
+    for state, journal in play_journaled(agent_of(kind, seed), CONFIG, game_map):
+        check_invariants(state, journal)
+    assert len(journal) == CONFIG.turn_limit
 
 
 # -- the same game with every city rebooked every turn -------------------------
@@ -81,7 +78,7 @@ def test_invariants_hold_after_every_turn(map_seed, seed, kind):
 def reference_city_phase(state) -> None:
     """The city phase with all worked sets released and rebooked, in id
     order, every turn, and each city's output summed from its worked set
-    and added to its player's output tally."""
+    and journaled into `state.events`."""
     cfg = state.config
     cities = sorted(state.all_cities(), key=lambda c: c.id)
     for city in cities:
@@ -89,12 +86,11 @@ def reference_city_phase(state) -> None:
     for city in cities:
         book(state, city)
     for city in cities:
-        total = sum((state.yields[coord] for coord in city.worked), cfg.ruleset.center_bonus)
+        total = sum((state.yields[coord] for coord in city.worked), CENTER_BONUS)
         gold, luxury, science = convert_trade(total.trade, cfg.trade_split)
-        city.per_turn_history.append(
-            OutputPoints(gold, luxury, science, total.food, total.production, total.trade)
-        )
-        state.player(city.player).output += city.per_turn_history[-1].weighted_total()
+        points = OutputPoints(gold, luxury, science, total.food, total.production, total.trade)
+        worked = sorted(city.worked, key=lambda c: (c[1], c[0]))
+        state.events.cities.append(CityTurnRecord(city.id, city.player, city.x, city.y, city.citizens, worked, points))
         city.food_store = max(0, city.food_store + total.food - cfg.food_per_citizen * city.citizens)
         before = city.citizens
         threshold = cfg.growth_threshold_base * city.citizens
@@ -132,25 +128,28 @@ def book(state, city) -> None:
     city.citizens = min(city.citizens, len(city.worked))
 
 
-def reference_turn(state, agent) -> None:
+def reference_turn(state, agent) -> TurnRecord:
+    state.events = record = TurnRecord(turn=state.turn)
     agent.act(state)
     engine._settler_phase(state)
     reference_city_phase(state)
+    state.events = None
     if state.turn >= state.config.turn_limit:
         state.finished = True
     else:
         state.turn += 1
+    return record
 
 
 def city_view(state):
     return [
-        (c.id, c.coord, c.worked, c.citizens, c.food_store, c.production_store, c.per_turn_history)
+        (c.id, c.coord, c.worked, c.citizens, c.food_store, c.production_store)
         for c in sorted(state.all_cities(), key=lambda c: c.id)
     ]
 
 
-def tallies(state):
-    return [(p.owned_tiles, p.owned_weight, p.specials_owned, p.output) for p in state.players]
+def tile_tallies(state):
+    return [(p.owned_tiles, p.owned_weight, p.specials_owned) for p in state.players]
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,11 +169,15 @@ def test_rebooking_on_change_equals_rebooking_every_turn(map_seed, seed, kind, s
         place_initial_settlers(state)
         games.append((state, agent_of(kind, seed)))
     (state, agent), (reference, reference_agent) = games
+    journal = []
     while not state.finished:
-        step_turn(state, agent)
-        reference_turn(reference, reference_agent)
+        journal.append(step_turn(state, agent))
+        reference_record = reference_turn(reference, reference_agent)
         assert city_view(state) == city_view(reference), f"turn {reference.turn}"
+        # the same worked tiles, head counts and points in both journals
+        assert journal[-1].cities == reference_record.cities
         assert state.worked_by == reference.worked_by
-        assert tallies(state) == tallies(reference)
+        assert tile_tallies(state) == tile_tallies(reference)
+        assert [p.output for p in state.players] == [journaled_output(journal, p.player_id) for p in state.players]
         assert state.owner == reference.owner
     assert reference.finished

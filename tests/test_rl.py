@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agent_of, flat_map
+from conftest import agent_of, flat_map, journaled_output, play_journaled
 from settlebench.engine import (
     GameConfig,
     add_settler,
     found_city,
     new_game,
-    run_episode,
     step_turn,
-    total_game_output,
 )
 from settlebench.features import minmax_scale
 from settlebench.rl import (
@@ -53,9 +51,9 @@ def test_state_features_shape_and_content():
     assert vec[3] > 0  # some output accumulated
 
 
-def rescanned_state_features(state, player_id):
-    """state_features recomputed from the whole board and every city's whole
-    history: the reference for the running tallies."""
+def rescanned_state_features(state, player_id, journal):
+    """state_features recomputed from the whole board and the whole turn
+    journal: the reference for the running tallies."""
     player = state.player(player_id)
     owned = [t for t, owner in zip(state.map.tiles, state.owner) if owner == player_id]
     mean_weight = sum(state.weights[(t.x, t.y)] for t in owned) / len(owned) if owned else 0.0
@@ -63,7 +61,7 @@ def rescanned_state_features(state, player_id):
     seats = [c.coord for c in player.cities if cluster_in_bounds(state.map, c.coord)]
     table = cluster_table(state.map)
     coast = table.rule_mask[table.rows(seats), FAMILY_IDS.index(WATER_ACCESS)].sum()
-    tgo = total_game_output(state, player_id, state.turn)
+    tgo = journaled_output(journal, player_id)
     citizens = sum(c.citizens for c in player.cities)
     return np.array(
         [state.turn, len(player.cities), citizens, tgo, len(player.settlers), mean_weight, specials_owned, coast],
@@ -81,11 +79,9 @@ def rescanned_state_features(state, player_id):
 def test_tallied_state_features_equal_the_rescan_bit_for_bit(map_seed, seed, kind, settlers):
     game_map = generate_map(MapGenConfig(), map_seed)
     config = GameConfig(turn_limit=60, initial_settlers=settlers)
-
-    def check(state):
-        assert np.array_equal(state_features(state, 0), rescanned_state_features(state, 0)), f"turn {state.turn}"
-
-    run_episode(agent_of(kind, seed), config, seed, game_map=game_map, on_turn=check)
+    for state, journal in play_journaled(agent_of(kind, seed), config, game_map):
+        features, rescanned = state_features(state, 0), rescanned_state_features(state, 0, journal)
+        assert np.array_equal(features, rescanned), f"turn {state.turn}"
 
 
 # -- k-means ---------------------------------------------------------------------
@@ -345,9 +341,6 @@ def test_exploration_guarantee():
         choice, _ = choose(table, policy, 0, FAMILY)
         seen.add(choice.rule.id)
     assert seen == {r.id for r in FAMILY.rules}
-    for epsilon in (-0.1, 1.5):
-        with pytest.raises(ValueError, match=f"epsilon must lie in \\[0, 1\\], got {epsilon}"):
-            Policy(epsilon=epsilon)
 
 
 # -- Monte Carlo updates ---------------------------------------------------------

@@ -71,6 +71,7 @@ def test_kb_arm_equals_a_run_that_plays_its_own_warmup(bootstrap_episodes):
         (dict(bootstrap_episodes=0), "bootstrap_episodes must be >= 1, got 0"),
         (dict(window=-3), "metrics_window must be >= 1, got -3"),
         (dict(epochs=-1), "epochs must be >= 0, got -1"),
+        (dict(episodes=4, bootstrap_episodes=70, epochs=2, epsilon=1.5), r"epsilon must lie in \[0, 1\], got 1.5"),
     ],
 )
 def test_bad_sizes_are_refused_before_the_corpus_is_played(monkeypatch, tmp_path, sizes, message):
@@ -81,3 +82,4 @@ def test_bad_sizes_are_refused_before_the_corpus_is_played(monkeypatch, tmp_path
         harness.run_comparison(turn_limit=30, out_dir=str(out), **sizes)
     assert played == []
     assert not out.exists()
+
