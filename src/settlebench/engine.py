@@ -114,21 +114,21 @@ RIVER_TRADE_BONUS = 1
 # the city center tile counts as developed; without extra center food a
 # size-1 city can never out-produce its own consumption and never grows
 CENTER_BONUS = YieldTriple(food=2, production=1)
+# the economy, also fixed: (gold, luxury, science) rates of trade, food stored
+# per citizen to grow, food eaten per citizen, and a settler's two costs
+TRADE_SPLIT = (0.5, 0.0, 0.5)
+GROWTH_THRESHOLD_BASE = 6
+FOOD_PER_CITIZEN = 2
+SETTLER_PRODUCTION_COST = 10
+SETTLER_POPULATION_COST = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameConfig:
     turn_limit: int = 120
-    trade_split: tuple[float, float, float] = (0.5, 0.0, 0.5)  # gold, luxury, science
-    growth_threshold_base: int = 6
-    food_per_citizen: int = 2
-    settler_production_cost: int = 10
-    settler_population_cost: int = 1
     min_city_distance: int = 2
     max_cities: int = 8
     initial_settlers: int = 1
-    start_position: tuple[int, int] | None = None
-    max_city_size: int = 21
 
     def __post_init__(self):
         if self.turn_limit < 1:
@@ -138,8 +138,6 @@ class GameConfig:
         if self.max_cities < 1:
             # the starting settlers found whatever the cap, so below 1 it is never honoured
             raise ValueError(f"max_cities must be >= 1, got {self.max_cities}")
-        if abs(sum(self.trade_split) - 1.0) > 1e-9 or any(r < 0 for r in self.trade_split):
-            raise ValueError("trade_split rates must be non-negative and sum to 1")
 
 
 def tile_yield(tile) -> YieldTriple:
@@ -152,14 +150,12 @@ def tile_yield(tile) -> YieldTriple:
     return y
 
 
-def convert_trade(trade: int, rates: tuple[float, float, float]) -> tuple[int, int, int]:
-    """Split trade into (gold, luxury, science): floors, remainder to science."""
-    if abs(sum(rates) - 1.0) > 1e-9 or any(r < 0 for r in rates):
-        raise ValueError(f"invalid trade rates {rates}")
+def convert_trade(trade: int) -> tuple[int, int, int]:
+    """Split trade into (gold, luxury, science) at TRADE_SPLIT: floors, remainder to science."""
     if trade < 0:
         raise ValueError("negative trade")
-    gold = math.floor(trade * rates[0])
-    luxury = math.floor(trade * rates[1])
+    gold = math.floor(trade * TRADE_SPLIT[0])
+    luxury = math.floor(trade * TRADE_SPLIT[1])
     science = trade - gold - luxury
     return gold, luxury, science
 
@@ -332,7 +328,7 @@ def default_start_position(game_map: GameMap) -> tuple[int, int]:
 
 
 def place_initial_settlers(state: GameState, player_id: int = 0) -> None:
-    start = state.config.start_position or default_start_position(state.map)
+    start = default_start_position(state.map)
     for _ in range(state.config.initial_settlers):
         add_settler(state, player_id, start)
 
@@ -495,7 +491,6 @@ def _settler_phase(state: GameState) -> None:
 
 
 def _city_phase(state: GameState) -> None:
-    cfg = state.config
     cities = sorted(state.all_cities(), key=lambda c: c.id)
 
     # re-book non-center worked tiles, oldest city first; the center stays
@@ -528,24 +523,21 @@ def _city_phase(state: GameState) -> None:
                 )
             )
 
-        city.food_store = max(0, city.food_store + points.food - cfg.food_per_citizen * city.citizens)
+        city.food_store = max(0, city.food_store + points.food - FOOD_PER_CITIZEN * city.citizens)
         population_before = city.citizens
-        threshold = cfg.growth_threshold_base * city.citizens
-        if (
-            city.food_store >= threshold
-            and city.citizens < cfg.max_city_size
-            # room for one more beside the center
-            and len(list(_eligible_tiles(state, city))) >= city.citizens
-        ):
+        threshold = GROWTH_THRESHOLD_BASE * city.citizens
+        # room for one more beside the center; with 20 candidate tiles this
+        # caps a city at 21 citizens
+        if city.food_store >= threshold and len(list(_eligible_tiles(state, city))) >= city.citizens:
             city.citizens += 1
             city.food_store -= threshold
 
-        expansion_slots = len(player.cities) + len(player.settlers) < cfg.max_cities
+        expansion_slots = len(player.cities) + len(player.settlers) < state.config.max_cities
         if city.citizens >= 3 and expansion_slots:
             city.production_store += points.production
-            if city.production_store >= cfg.settler_production_cost:
-                city.production_store -= cfg.settler_production_cost
-                city.citizens -= cfg.settler_population_cost
+            if city.production_store >= SETTLER_PRODUCTION_COST:
+                city.production_store -= SETTLER_PRODUCTION_COST
+                city.citizens -= SETTLER_POPULATION_COST
                 add_settler(state, city.player, city.coord)
 
         if city.citizens != population_before:
@@ -560,12 +552,11 @@ def _city_phase(state: GameState) -> None:
 def _city_points(state: GameState, city: City) -> OutputPoints:
     """The city's output for one turn of its worked set, cached on the city."""
     if city.points is None:
-        cfg = state.config
         total = YieldTriple()
         for coord in city.worked:
             total = total + state.yields[coord]
         total = total + CENTER_BONUS
-        gold, luxury, science = convert_trade(total.trade, cfg.trade_split)
+        gold, luxury, science = convert_trade(total.trade)
         city.points = OutputPoints(
             gold=gold,
             luxury=luxury,
@@ -727,30 +718,36 @@ def _triple(y: YieldTriple) -> list[int]:
     return [y.food, y.production, y.trade]
 
 
-# the fixed rules as config_to_dict writes them into every log and config.json
-_RULES_BLOCK = {
-    "terrain_yields": {k.value: _triple(y) for k, y in TERRAIN_YIELDS.items()},
-    "special_bonuses": {k.value: _triple(y) for k, y in SPECIAL_BONUSES.items()},
-    "river_trade_bonus": RIVER_TRADE_BONUS,
-    "center_bonus": _triple(CENTER_BONUS),
+# the fixed rules as every log and config.json has always held them; a game
+# starts at default_start_position, and 20 candidate tiles cap a city at 21
+_FIXED_RULES = {
+    "trade_split": list(TRADE_SPLIT),
+    "growth_threshold_base": GROWTH_THRESHOLD_BASE,
+    "food_per_citizen": FOOD_PER_CITIZEN,
+    "settler_production_cost": SETTLER_PRODUCTION_COST,
+    "settler_population_cost": SETTLER_POPULATION_COST,
+    "start_position": None,
+    "max_city_size": 21,
+    "ruleset": {
+        "terrain_yields": {k.value: _triple(y) for k, y in TERRAIN_YIELDS.items()},
+        "special_bonuses": {k.value: _triple(y) for k, y in SPECIAL_BONUSES.items()},
+        "river_trade_bonus": RIVER_TRADE_BONUS,
+        "center_bonus": _triple(CENTER_BONUS),
+    },
 }
 
 
 def config_to_dict(config: GameConfig) -> dict:
-    """JSON-ready fields and a copy of the fixed rules; tuples are left for
-    the encoder to write as arrays."""
-    return {**vars(config), "ruleset": copy.deepcopy(_RULES_BLOCK)}
+    """JSON-ready fields and a copy of the fixed rules."""
+    return {**vars(config), **copy.deepcopy(_FIXED_RULES)}
 
 
 def config_from_dict(d: dict) -> GameConfig:
-    """Inverse of config_to_dict; refuses rules other than the engine's."""
-    d = dict(d)
-    if d.pop("ruleset", None) != _RULES_BLOCK:
+    """Inverse of config_to_dict; refuses a dict that lacks any fixed rule
+    or names one other than the engine's."""
+    if {k: d[k] for k in _FIXED_RULES if k in d} != _FIXED_RULES:
         raise ValueError("config names game rules other than the engine's fixed ones")
-    d["trade_split"] = tuple(d["trade_split"])
-    if d.get("start_position") is not None:
-        d["start_position"] = tuple(d["start_position"])
-    return GameConfig(**d)
+    return GameConfig(**{k: v for k, v in d.items() if k not in _FIXED_RULES})
 
 
 # json.dumps(obj, sort_keys=True) without building a new encoder per record
@@ -800,55 +797,44 @@ def write_episode_log(log: EpisodeLog, path) -> None:
 
 
 def read_episode_log(path) -> EpisodeLog:
+    """The log at `path`; ValueError naming the file for any malformed one."""
     with open(path) as fh:
         lines = [line for line in fh if line.strip()]
 
     def record(line: str) -> dict:
         rec = json.loads(line)
         if not isinstance(rec, dict):
-            raise ValueError(f"{path}: a record is not a JSON object")
+            raise ValueError("a record is not a JSON object")
         return rec
 
-    header = record(lines[0]) if lines else {}
-    footer = record(lines[-1]) if lines else {}
-    if header.get("kind") != "header" or footer.get("kind") != "footer":
-        raise ValueError(f"{path}: not a complete episode log")
-    turns = []
-    # decoded one line at a time, so only the built records outlive the loop
-    for rec in map(record, lines[1:-1]):
-        if rec.get("kind") != "turn":
-            raise ValueError(f"{path}: unexpected record kind {rec.get('kind')!r}")
-        turns.append(
-            TurnRecord(
-                turn=rec["turn"],
-                cities=[
-                    CityTurnRecord(
-                        city_id=c["city_id"],
-                        player=c["player"],
-                        x=c["x"],
-                        y=c["y"],
-                        citizens=c["citizens"],
-                        worked=[tuple(w) for w in c["worked"]],
-                        points=OutputPoints(**c["points"]),
-                    )
-                    for c in rec["cities"]
-                ],
-                targets=[(sid, tuple(t)) for sid, t in rec["targets"]],
-                foundings=[FoundingRecord(**f) for f in rec["foundings"]],
-            )
-        )
-    if footer["turns"] != len(turns):
-        raise ValueError(f"{path}: footer reports {footer['turns']} turns, found {len(turns)}")
     try:
-        config = config_from_dict(header["config"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return EpisodeLog(
-        seed=header["seed"],
-        map_text=header["map"],
-        config=config,
-        evaluator=header["evaluator"],
-        player=header["player"],
-        turns=turns,
-        final_tgo=footer["final_tgo"],
-    )
+        header = record(lines[0]) if lines else {}
+        footer = record(lines[-1]) if lines else {}
+        if header.get("kind") != "header" or footer.get("kind") != "footer":
+            raise ValueError("not a complete episode log")
+        turns = []
+        # decoded one line at a time, so only the built records outlive the loop
+        for rec in map(record, lines[1:-1]):
+            if rec.get("kind") != "turn":
+                raise ValueError(f"unexpected record kind {rec.get('kind')!r}")
+            cities = [
+                CityTurnRecord(**{**c, "worked": [tuple(w) for w in c["worked"]],
+                                  "points": OutputPoints(**c["points"])})
+                for c in rec["cities"]
+            ]
+            targets = [(sid, tuple(t)) for sid, t in rec["targets"]]
+            turns.append(TurnRecord(rec["turn"], cities, targets, [FoundingRecord(**f) for f in rec["foundings"]]))
+        if footer["turns"] != len(turns):
+            raise ValueError(f"footer reports {footer['turns']} turns, found {len(turns)}")
+        return EpisodeLog(
+            seed=header["seed"],
+            map_text=header["map"],
+            config=config_from_dict(header["config"]),
+            evaluator=header["evaluator"],
+            player=header["player"],
+            turns=turns,
+            final_tgo=footer["final_tgo"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {reason}") from None

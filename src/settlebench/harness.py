@@ -260,17 +260,19 @@ def export_metrics_csv(metrics: RunMetrics, path) -> None:
 
 
 def read_metrics_csv(path, window: int = 1) -> RunMetrics:
+    """ValueError naming the file unless row i holds episode i and two numbers."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["episode", "tgo", "running_avg"]:
             raise ValueError(f"{path}: unexpected metrics header {header}")
         rows = list(reader)
-    return RunMetrics(
-        tgo=[float(row[1]) for row in rows],
-        running_avg=[float(row[2]) for row in rows],
-        window=window,
-    )
+    try:
+        if any(len(row) != 3 or row[0] != str(i) for i, row in enumerate(rows)):
+            raise ValueError("rows are not episode 0, 1, ... each with its tgo and running_avg")
+        return RunMetrics([float(row[1]) for row in rows], [float(row[2]) for row in rows], window)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +477,34 @@ def persist_experiment(result: ExperimentResult, out_dir: str, game_map: GameMap
 
 
 def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], ExperimentConfig]:
-    """(metrics, logs, config) of a persisted run; ValueError unless every
-    metrics row has its episode log with the same final TGO."""
-    with open(os.path.join(path, "config.json")) as fh:
-        config = experiment_config_from_dict(json.load(fh))
-    metrics = read_metrics_csv(os.path.join(path, "metrics.csv"), window=config.window())
+    """(metrics, logs, config) of a persisted run; ValueError unless the run
+    has its configured number of episodes, every metrics row has its episode
+    log with the same final TGO, and each running average is the mean so far."""
+    config_path = os.path.join(path, "config.json")
+    with open(config_path) as fh:
+        try:
+            config = experiment_config_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: {exc}") from None
+    metrics_path = os.path.join(path, "metrics.csv")
+    metrics = read_metrics_csv(metrics_path, window=config.window())
     log_dir = os.path.join(path, "logs")
     logs = [
         engine.read_episode_log(os.path.join(log_dir, name))
         for name in sorted(os.listdir(log_dir))
         if name.endswith(".jsonl")
     ]
-    if len(logs) != len(metrics.tgo):
-        raise ValueError(f"{path}: {len(logs)} episode logs but {len(metrics.tgo)} metrics rows")
+    if not len(logs) == len(metrics.tgo) == config.episodes:
+        raise ValueError(f"{path}: {len(logs)} episode logs but {len(metrics.tgo)} metrics rows,"
+                         f" for {config.episodes} episodes")
     for i, (log, tgo) in enumerate(zip(logs, metrics.tgo)):
         if log.final_tgo != tgo:
             raise ValueError(f"{path}: episode {i} log has final_tgo {log.final_tgo}, metrics row {tgo}")
+    recomputed = RunMetrics()
+    for i, (tgo, avg) in enumerate(zip(metrics.tgo, metrics.running_avg)):
+        recomputed.record(tgo)
+        if avg != recomputed.running_avg[-1]:
+            raise ValueError(f"{metrics_path}: episode {i} running_avg {avg} is not the mean tgo so far")
     return metrics, logs, config
 
 

@@ -27,6 +27,12 @@ from .features import (
 )
 
 
+# the ADAM moment decay rates and denominator guard, the same for every model
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int = len(COLUMNS)
@@ -37,9 +43,6 @@ class MlpConfig:
     batch_size: int = 30
     epochs: int = 200
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.input_dim < 1 or any(h < 1 for h in self.hidden):
@@ -206,8 +209,7 @@ def adam_step(model: MlpModel, grads: MlpModel, state: AdamState, t: int) -> Mlp
     """
     if t < 1:
         raise ValueError("ADAM step counter starts at 1")
-    cfg = model.config
-    b1, b2, eps, lr = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps, lr = BETA1, BETA2, ADAM_EPS, model.config.learning_rate
     g, m, v = grads.flat, state.m, state.v
     step, denom = state.scratch
     m *= b1
@@ -322,20 +324,29 @@ def save_model(model: MlpModel, normalization: MinMaxNormalization, path) -> Non
 
 
 def load_model(path) -> tuple[MlpModel, MinMaxNormalization]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "settlebench-mlp":
-        raise ValueError(f"{path}: not a model file")
-    if payload.get("layout_version") != LAYOUT_VERSION:
-        raise ValueError(f"{path}: feature layout v{payload.get('layout_version')} unsupported")
-    cfg_dict = dict(payload["config"])
-    cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-    config = MlpConfig(**cfg_dict)
+    """The model saved at `path`; ValueError naming the file for a malformed
+    one, but TypeError naming the field for a config field MlpConfig lacks."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("format") != "settlebench-mlp":
+            raise ValueError("not a model file")
+        if payload.get("layout_version") != LAYOUT_VERSION:
+            raise ValueError(f"feature layout v{payload.get('layout_version')} unsupported")
+        cfg_dict = {**payload["config"], "hidden": tuple(payload["config"]["hidden"])}
+        layers = [np.asarray(a, dtype=float) for a in (*payload["weights"], *payload["biases"])]
+        normalization = MinMaxNormalization.from_dict(payload["normalization"])
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {reason}") from None
+    try:
+        config = MlpConfig(**cfg_dict)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     model = MlpModel(np.zeros(flat_size(config)), config)
     views = (*model.weights, *model.biases)
-    arrays = [np.asarray(a, dtype=float) for a in (*payload["weights"], *payload["biases"])]
-    if len(arrays) != len(views) or any(a.shape != view.shape for a, view in zip(arrays, views)):
+    if len(layers) != len(views) or any(a.shape != view.shape for a, view in zip(layers, views)):
         raise ValueError(f"{path}: layer shapes do not match the model config")
-    for view, a in zip(views, arrays):
+    for view, a in zip(views, layers):
         view[...] = a
-    return model, MinMaxNormalization.from_dict(payload["normalization"])
+    return model, normalization

@@ -201,24 +201,16 @@ class Policy:
         self.rng = random.Random(self.seed)
 
 
+@dataclass
 class ValueTable:
     """Running means of episode rewards per (state, family, rule) and per state."""
 
-    def __init__(self, meta: dict | None = None):
-        self.q: dict[tuple[int, str, str], RunningMean] = {}
-        self.v: dict[int, RunningMean] = {}
-        self.meta = dict(meta or {})
+    meta: dict[str, str] = field(default_factory=dict)
+    q: dict[tuple[int, str, str], RunningMean] = field(default_factory=dict)
+    v: dict[int, RunningMean] = field(default_factory=dict)
 
     def q_entry(self, state_id: int, family: str, rule_id: str) -> RunningMean | None:
         return self.q.get((state_id, family, rule_id))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ValueTable)
-            and self.q == other.q
-            and self.v == other.v
-            and self.meta == other.meta
-        )
 
 
 def greedy_rule(table: ValueTable, state_id: int, conflict_set: ConflictSet) -> ScoringRule:
@@ -270,16 +262,9 @@ def update_from_episode(table: ValueTable, records: list[DecisionRecord], reward
     if reward < 0:
         raise ValueError("episode reward must be non-negative")
     for rec in records:
-        key = (rec.state_id, rec.family, rec.rule_id)
-        entry = table.q.get(key)
-        if entry is None:
-            entry = table.q[key] = RunningMean()
-        entry.add(reward)
+        table.q.setdefault((rec.state_id, rec.family, rec.rule_id), RunningMean()).add(reward)
     for state_id in sorted({rec.state_id for rec in records}):
-        entry = table.v.get(state_id)
-        if entry is None:
-            entry = table.v[state_id] = RunningMean()
-        entry.add(reward)
+        table.v.setdefault(state_id, RunningMean()).add(reward)
     return table
 
 
@@ -303,33 +288,34 @@ def save_table(table: ValueTable, path) -> None:
 
 
 def load_table(path) -> ValueTable:
+    """The table saved at `path`; ValueError naming the file for a malformed
+    row or a row count other than the declared one."""
     table = ValueTable()
     declared = None
     seen = 0
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "meta":
-                table.meta[parts[1]] = " ".join(parts[2:])
-            elif parts[0] == "entries":
-                declared = int(parts[1])
-            elif parts[0] == "V":
-                if len(parts) != 4:
-                    raise ValueError(f"malformed V row: {line!r}")
-                table.v[int(parts[1])] = RunningMean(count=int(parts[2]), mean=float(parts[3]))
-                seen += 1
-            elif parts[0] == "Q":
-                if len(parts) != 6:
-                    raise ValueError(f"malformed Q row: {line!r}")
-                table.q[(int(parts[1]), parts[2], parts[3])] = RunningMean(
-                    count=int(parts[4]), mean=float(parts[5])
-                )
-                seen += 1
-            else:
-                raise ValueError(f"unknown value-table row: {line!r}")
+            try:
+                if parts[0] == "meta" and len(parts) >= 2:
+                    table.meta[parts[1]] = " ".join(parts[2:])
+                elif parts[0] == "entries" and len(parts) == 2:
+                    declared = int(parts[1])
+                elif parts[0] == "V" and len(parts) == 4:
+                    table.v[int(parts[1])] = RunningMean(count=int(parts[2]), mean=float(parts[3]))
+                    seen += 1
+                elif parts[0] == "Q" and len(parts) == 6:
+                    table.q[(int(parts[1]), parts[2], parts[3])] = RunningMean(
+                        count=int(parts[4]), mean=float(parts[5])
+                    )
+                    seen += 1
+                else:
+                    raise ValueError("unknown row")
+            except ValueError:
+                raise ValueError(f"{path}: line {number} is not a value-table row: {line!r}") from None
     if declared is None or declared != seen:
         raise ValueError(f"{path}: truncated table ({seen} rows, declared {declared})")
     return table

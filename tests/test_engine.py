@@ -105,8 +105,26 @@ def test_yields_are_built_once_per_map():
     assert new_game(flat_map(12, 12), GameConfig()).yields is not first.yields
 
 
+def test_game_config_holds_only_the_settings_callers_vary():
+    assert [f.name for f in dataclasses.fields(GameConfig)] == [
+        "turn_limit",
+        "min_city_distance",
+        "max_cities",
+        "initial_settlers",
+    ]
+    config = GameConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.turn_limit = 5
+    # a name the config never had is refused too, not set as a dead attribute
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.growth_threshold_base = 10**6
+
+
 def test_config_dicts_carry_a_fresh_copy_of_the_fixed_rules():
     d = engine.config_to_dict(GameConfig())
+    assert (d["trade_split"], d["growth_threshold_base"], d["food_per_citizen"]) == ([0.5, 0.0, 0.5], 6, 2)
+    assert (d["settler_production_cost"], d["settler_population_cost"]) == (10, 1)
+    assert d["start_position"] is None and d["max_city_size"] == 21
     assert d["ruleset"]["terrain_yields"]["Grassland"] == [2, 0, 0]
     assert d["ruleset"]["center_bonus"] == [2, 1, 0] and d["ruleset"]["river_trade_bonus"] == 1
     d["ruleset"]["terrain_yields"]["Grassland"][0] = 9
@@ -141,20 +159,15 @@ def test_a_log_naming_other_rules_is_refused(tmp_path, edit):
 
 
 def test_convert_trade_examples():
-    assert convert_trade(0, (0.5, 0.0, 0.5)) == (0, 0, 0)
-    assert convert_trade(10, (0.5, 0.0, 0.5)) == (5, 0, 5)
+    assert convert_trade(0) == (0, 0, 0)
+    assert convert_trade(10) == (5, 0, 5)
     # floors with the remainder going to science
-    assert convert_trade(7, (0.5, 0.0, 0.5)) == (3, 0, 4)
+    assert convert_trade(7) == (3, 0, 4)
 
 
-def test_convert_trade_rejects_bad_rates():
-    with pytest.raises(ValueError):
-        convert_trade(5, (0.5, 0.5, 0.5))
-
-
-@given(st.integers(0, 10_000), st.sampled_from([(0.5, 0.0, 0.5), (1.0, 0.0, 0.0), (0.3, 0.3, 0.4), (0.0, 0.0, 1.0)]))
-def test_convert_trade_partitions(trade, rates):
-    gold, luxury, science = convert_trade(trade, rates)
+@given(st.integers(0, 10_000))
+def test_convert_trade_partitions(trade):
+    gold, luxury, science = convert_trade(trade)
     assert gold + luxury + science == trade
     assert gold >= 0 and luxury >= 0 and science >= 0
 
@@ -343,14 +356,14 @@ def test_growth_crosses_threshold():
     assert city.food_store == 0  # 6 - threshold(1) == 0
 
 
-def test_settler_production_costs_one_citizen():
+def test_settler_production_costs_one_citizen(monkeypatch):
     state = grass_state(turn_limit=120)
     add_settler(state, 0, (5, 5))
     city = found_city(state, 0, (5, 5))
     while city.citizens < 3 and state.turn < 120:
         step_turn(state)
     assert city.citizens == 3
-    state.config.growth_threshold_base = 10**6  # freeze growth; isolate the settler cost
+    monkeypatch.setattr(engine, "GROWTH_THRESHOLD_BASE", 10**6)  # freeze growth; isolate the settler cost
     while not state.players[0].settlers and not state.finished:
         step_turn(state)
     assert state.players[0].settlers

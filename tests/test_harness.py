@@ -196,7 +196,7 @@ def test_experiment_config_round_trips_exactly():
         episodes=7,
         base_seed=3,
         fixed_map=False,
-        game=GameConfig(turn_limit=45, trade_split=(0.25, 0.25, 0.5), start_position=(6, 7)),
+        game=GameConfig(turn_limit=45, min_city_distance=3, max_cities=5, initial_settlers=2),
         mapgen=MapGenConfig(width=16, terrain_weights=(("Grassland", 3.0), ("Desert", 0.5))),
         rl=RlConfig(k=5, epsilon=0.2),
         metrics_window=3,
@@ -380,6 +380,26 @@ def test_run_dir_rejects_a_log_that_disagrees_with_its_metrics_row(tmp_path):
         load_run_dir(str(run))
 
 
+def test_run_dir_missing_an_episode_is_refused(tmp_path):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
+    (run / "logs" / "episode_00002.jsonl").unlink()
+    rows = (run / "metrics.csv").read_text().splitlines()
+    (run / "metrics.csv").write_text("\n".join(rows[:-1]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{run}: 2 episode logs but 2 metrics rows, for 3 episodes")):
+        load_run_dir(str(run))
+
+
+def test_run_dir_with_an_edited_running_average_is_refused(tmp_path):
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
+    header, first, *rest = (run / "metrics.csv").read_text().splitlines()
+    first = first.rsplit(",", 1)[0] + ",123456.0"
+    (run / "metrics.csv").write_text("\n".join([header, first, *rest]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{run / 'metrics.csv'}: episode 0 running_avg 123456.0")):
+        load_run_dir(str(run))
+
+
 def test_a_run_dir_naming_other_rules_is_refused(tmp_path):
     run = tmp_path / "run"
     run_experiment(small_experiment(evaluator="random", episodes=1), out_dir=str(run))
@@ -390,6 +410,44 @@ def test_a_run_dir_naming_other_rules_is_refused(tmp_path):
         load_run_dir(str(run))
 
 
+# the values these keys had as settings, now fixed; each paired with another value
+OTHER_FIXED_VALUES = {
+    "trade_split": [0.25, 0.25, 0.5],
+    "growth_threshold_base": 7,
+    "food_per_citizen": 1,
+    "settler_production_cost": 20,
+    "settler_population_cost": 2,
+    "start_position": [6, 7],
+    "max_city_size": 8,
+}
+
+
+@pytest.mark.parametrize("key", OTHER_FIXED_VALUES)
+@pytest.mark.parametrize("change", ["differs", "missing"])
+def test_a_log_or_run_dir_naming_other_fixed_rules_is_refused(tmp_path, key, change):
+    def edit(game: dict) -> None:
+        if change == "missing":
+            del game[key]
+        else:
+            game[key] = OTHER_FIXED_VALUES[key]
+
+    run = tmp_path / "run"
+    run_experiment(small_experiment(evaluator="random", episodes=1), out_dir=str(run))
+    log_path = run / "logs" / "episode_00000.jsonl"
+    header, *rest = log_path.read_text().splitlines()
+    header = json.loads(header)
+    edit(header["config"])
+    log_path.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{log_path}: config names game rules other than")):
+        engine.read_episode_log(log_path)
+
+    config = json.loads((run / "config.json").read_text())
+    edit(config["game"])
+    (run / "config.json").write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=re.escape(f"{run / 'config.json'}: config names game rules other than")):
+        load_run_dir(str(run))
+
+
 @pytest.mark.parametrize(
     "reader, content",
     [
@@ -397,6 +455,19 @@ def test_a_run_dir_naming_other_rules_is_refused(tmp_path):
         (read_metrics_csv, ""),
         (engine.read_episode_log, "[1, 2]\n"),
         (engine.read_episode_log, '{"kind": "header"}\n"turn"\n{"kind": "footer", "turns": 1}\n'),
+        (engine.read_episode_log, '{"kind": "header"}\n{"kind": "footer", "turns": 0}\n'),
+        (engine.read_episode_log, "not json\n"),
+        (engine.read_episode_log, '{"kind": "header"}\n{"kind": "footer"}\n'),
+        (read_metrics_csv, "episode,tgo,running_avg\n0,5\n"),
+        (read_metrics_csv, "episode,tgo,running_avg\n1,5,5.0\n"),
+        (read_metrics_csv, "episode,tgo,running_avg\n0,five,5.0\n"),
+        (rl.load_table, "meta\nentries 0\n"),
+        (rl.load_table, "entries x\n"),
+        (rl.load_table, "V 0 1\nentries 1\n"),
+        (mlp.load_model, "[]"),
+        (mlp.load_model, "not json"),
+        (mlp.load_model, json.dumps({"format": "settlebench-mlp", "layout_version": features.LAYOUT_VERSION,
+                                     "config": {}, "weights": [], "biases": [], "normalization": {}})),
     ],
 )
 def test_readers_refuse_bad_input_naming_the_file(tmp_path, reader, content):

@@ -18,6 +18,10 @@ from conftest import agent_of, journaled_output, play_journaled
 from settlebench import engine
 from settlebench.engine import (
     CENTER_BONUS,
+    FOOD_PER_CITIZEN,
+    GROWTH_THRESHOLD_BASE,
+    SETTLER_POPULATION_COST,
+    SETTLER_PRODUCTION_COST,
     CityTurnRecord,
     GameConfig,
     OutputPoints,
@@ -79,7 +83,6 @@ def reference_city_phase(state) -> None:
     """The city phase with all worked sets released and rebooked, in id
     order, every turn, and each city's output summed from its worked set
     and journaled into `state.events`."""
-    cfg = state.config
     cities = sorted(state.all_cities(), key=lambda c: c.id)
     for city in cities:
         release(state, city)
@@ -87,27 +90,27 @@ def reference_city_phase(state) -> None:
         book(state, city)
     for city in cities:
         total = sum((state.yields[coord] for coord in city.worked), CENTER_BONUS)
-        gold, luxury, science = convert_trade(total.trade, cfg.trade_split)
+        gold, luxury, science = convert_trade(total.trade)
         points = OutputPoints(gold, luxury, science, total.food, total.production, total.trade)
         worked = sorted(city.worked, key=lambda c: (c[1], c[0]))
         state.events.cities.append(CityTurnRecord(city.id, city.player, city.x, city.y, city.citizens, worked, points))
-        city.food_store = max(0, city.food_store + total.food - cfg.food_per_citizen * city.citizens)
+        city.food_store = max(0, city.food_store + total.food - FOOD_PER_CITIZEN * city.citizens)
         before = city.citizens
-        threshold = cfg.growth_threshold_base * city.citizens
+        threshold = GROWTH_THRESHOLD_BASE * city.citizens
         free = sum(
             1
             for i, _ in city.candidates
             if state.worked_by[i] in (None, city.id) and state.owner[i] in (None, city.player)
         )
-        if city.food_store >= threshold and city.citizens < cfg.max_city_size and free >= city.citizens:
+        if city.food_store >= threshold and free >= city.citizens:
             city.citizens += 1
             city.food_store -= threshold
         player = state.player(city.player)
-        if city.citizens >= 3 and len(player.cities) + len(player.settlers) < cfg.max_cities:
+        if city.citizens >= 3 and len(player.cities) + len(player.settlers) < state.config.max_cities:
             city.production_store += total.production
-            if city.production_store >= cfg.settler_production_cost:
-                city.production_store -= cfg.settler_production_cost
-                city.citizens -= cfg.settler_population_cost
+            if city.production_store >= SETTLER_PRODUCTION_COST:
+                city.production_store -= SETTLER_PRODUCTION_COST
+                city.citizens -= SETTLER_POPULATION_COST
                 add_settler(state, city.player, city.coord)
         if city.citizens != before:
             release(state, city)
