@@ -299,9 +299,10 @@ def _tile_yields(game_map: GameMap):
     beside its cluster table."""
     if game_map._yields is None:
         yields, weights = {}, {}
-        by_kind: dict[tuple, tuple[YieldTriple, int]] = {}  # (terrain, special, river) -> (yield, weight)
+        # (terrain code, special code or -1, river) -> (yield, weight)
+        by_kind: dict[tuple, tuple[YieldTriple, int]] = {}
         for t in game_map.tiles:
-            kind = (t.terrain, t.special, t.river)
+            kind = (t.terrain.code, -1 if t.special is None else t.special.code, t.river)
             if kind not in by_kind:
                 y = tile_yield(t)
                 by_kind[kind] = (y, y.food + 2 * y.production + 2 * y.trade)

@@ -180,7 +180,14 @@ def read_dataset_csv(path) -> Dataset:
         header = next(reader, None)
         if header != [*COLUMNS, "label"]:
             raise ValueError(f"{path}: header missing or not feature layout v{LAYOUT_VERSION}")
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, expected {len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
     return Dataset(x=table[:, :-1], y=table[:, -1])
 

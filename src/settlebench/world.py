@@ -7,7 +7,10 @@ city built on the center can ever work.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -35,10 +38,16 @@ class TerrainKind(Enum):
     OCEAN = "Ocean"
     DEEP_OCEAN = "DeepOcean"
 
-    @property
-    def buildable(self) -> bool:
-        return self not in (TerrainKind.OCEAN, TerrainKind.DEEP_OCEAN)
+    # plain per-member values, so per-tile loops neither hash a member nor
+    # call a property: its index in declaration order, and whether a city or
+    # settler may stand on it
+    code: int
+    buildable: bool
 
+
+for _code, _terrain in enumerate(TerrainKind):
+    _terrain.code = _code
+    _terrain.buildable = _terrain not in (TerrainKind.OCEAN, TerrainKind.DEEP_OCEAN)
 
 BUILDABLE_TERRAINS = tuple(t for t in TerrainKind if t.buildable)
 
@@ -62,6 +71,11 @@ class SpecialKind(Enum):
     FISH = "Fish"
     WHALES = "Whales"
 
+    code: int  # index in declaration order
+
+
+for _code, _special in enumerate(SpecialKind):
+    _special.code = _code
 
 # Which terrain a special may appear on. Every terrain kind has at least one
 # eligible special; Whales are ocean-only.
@@ -84,6 +98,8 @@ SPECIAL_TERRAINS: dict[SpecialKind, tuple[TerrainKind, ...]] = {
     SpecialKind.FISH: (TerrainKind.OCEAN, TerrainKind.DEEP_OCEAN),
     SpecialKind.WHALES: (TerrainKind.OCEAN,),
 }
+# the specials each terrain may carry, in SPECIAL_TERRAINS order, by terrain code
+_ELIGIBLE_SPECIALS = tuple(tuple(s for s, allowed in SPECIAL_TERRAINS.items() if t in allowed) for t in TerrainKind)
 
 # Text-format character tables (stable; documented in README).
 TERRAIN_CHARS = {
@@ -217,19 +233,17 @@ STATIC_COLUMNS: tuple[str, ...] = (
 )
 assert len(STATIC_COLUMNS) == 58
 
-_TERRAIN_INDEX = {t: i for i, t in enumerate(TerrainKind)}
-_SPECIAL_INDEX = {s: i for i, s in enumerate(SpecialKind)}
-_BUILDABLE_COLUMNS = [_TERRAIN_INDEX[t] for t in BUILDABLE_TERRAINS]
+_BUILDABLE_COLUMNS = [t.code for t in BUILDABLE_TERRAINS]
 
 
 def _static_columns(game_map: GameMap) -> np.ndarray:
     """(height, width, 58) static columns per center; zero where the cluster leaves the map."""
     h, w, n = game_map.height, game_map.width, len(game_map.tiles)
-    terrain = np.fromiter((_TERRAIN_INDEX[t.terrain] for t in game_map.tiles), int, n).reshape(h, w)
-    special = np.fromiter((_SPECIAL_INDEX.get(t.special, -1) for t in game_map.tiles), int, n).reshape(h, w)
+    terrain = np.fromiter((t.terrain.code for t in game_map.tiles), int, n).reshape(h, w)
+    special = np.fromiter((-1 if t.special is None else t.special.code for t in game_map.tiles), int, n).reshape(h, w)
     river = np.fromiter((t.river for t in game_map.tiles), bool, n).reshape(h, w)
-    kinds = terrain[..., None] == np.arange(len(_TERRAIN_INDEX))
-    specials = special[..., None] == np.arange(len(_SPECIAL_INDEX))
+    kinds = terrain[..., None] == np.arange(len(TerrainKind))
+    specials = special[..., None] == np.arange(len(SpecialKind))
     ih, iw = max(h - 4, 0), max(w - 4, 0)
     inner = (slice(2, 2 + ih), slice(2, 2 + iw))
     kinds_21 = np.zeros((ih, iw, kinds.shape[2]))
@@ -247,9 +261,9 @@ def _static_columns(game_map: GameMap) -> np.ndarray:
             center_specials,
             specials_21 - center_specials,
             river[inner][..., None],
-            kinds_21[..., [_TERRAIN_INDEX[TerrainKind.OCEAN]]] > 0,
-            kinds_21[..., [_TERRAIN_INDEX[TerrainKind.DEEP_OCEAN]]] > 0,
-            specials_21[..., [_SPECIAL_INDEX[SpecialKind.WHALES]]],
+            kinds_21[..., [TerrainKind.OCEAN.code]] > 0,
+            kinds_21[..., [TerrainKind.DEEP_OCEAN.code]] > 0,
+            specials_21[..., [SpecialKind.WHALES.code]],
         ],
         axis=2,
         dtype=float,
@@ -336,8 +350,8 @@ def _validate_gen_config(config: MapGenConfig) -> None:
     weights = config.weights_by_kind()
     if any(not kind.buildable for kind in weights):
         raise MapGenerationError("terrain weights may only name buildable kinds")
-    if any(w < 0 for w in weights.values()) or sum(weights.values()) <= 0:
-        raise MapGenerationError("terrain weights must be non-negative and sum to a positive value")
+    if any(w < 0 for w in weights.values()) or not 0 < sum(weights.values()) < math.inf:
+        raise MapGenerationError("terrain weights must be non-negative and sum to a positive finite value")
     for name, value in (
         ("special_frequency", config.special_frequency),
         ("river_frequency", config.river_frequency),
@@ -359,31 +373,26 @@ def generate_map(config: MapGenConfig, seed: int) -> GameMap:
     w, h = config.width, config.height
 
     land = _grow_continents(config, rng)
+    # shallow ocean hugs the coastline (land among the 8 neighbours), deep ocean elsewhere
+    coastal = sum(land[dy : dy + h, dx : dx + w] for dy in range(3) for dx in range(3)) > 0
+    water = (TerrainKind.DEEP_OCEAN, TerrainKind.OCEAN)
 
-    kinds = list(config.weights_by_kind().keys())
-    kind_weights = list(config.weights_by_kind().values())
+    weights = config.weights_by_kind()
+    kinds = list(weights)
+    # the draw of random.choices(kinds, weights), with the weights accumulated once
+    cum_weights = list(itertools.accumulate(weights.values()))
+    total, last = cum_weights[-1] + 0.0, len(kinds) - 1
+    terrains = [
+        kinds[bisect(cum_weights, rng.random() * total, 0, last)] if is_land else water[is_coastal]
+        for is_land, is_coastal in zip(land[1:-1, 1:-1].ravel().tolist(), coastal.ravel().tolist())
+    ]
 
     tiles: list[Tile] = []
-    for y in range(h):
-        for x in range(w):
-            if land[y][x]:
-                terrain = rng.choices(kinds, weights=kind_weights)[0]
-            else:
-                # shallow ocean hugs the coastline, deep ocean elsewhere
-                coastal = any(
-                    0 <= x + dx < w and 0 <= y + dy < h and land[y + dy][x + dx]
-                    for dx in (-1, 0, 1)
-                    for dy in (-1, 0, 1)
-                )
-                terrain = TerrainKind.OCEAN if coastal else TerrainKind.DEEP_OCEAN
-            tiles.append(Tile(x=x, y=y, terrain=terrain))
-
-    for t in tiles:
-        eligible = [s for s, allowed in SPECIAL_TERRAINS.items() if t.terrain in allowed]
-        if eligible and rng.random() < config.special_frequency:
-            t.special = rng.choice(eligible)
-        if t.terrain.buildable and rng.random() < config.river_frequency:
-            t.river = True
+    for i, terrain in enumerate(terrains):
+        eligible = _ELIGIBLE_SPECIALS[terrain.code]
+        special = rng.choice(eligible) if eligible and rng.random() < config.special_frequency else None
+        river = terrain.buildable and rng.random() < config.river_frequency
+        tiles.append(Tile(i % w, i // w, terrain, special, river))
 
     game_map = GameMap(width=w, height=h, tiles=tiles, seed=seed)
     if game_map.buildable_fraction() < config.min_buildable_fraction:
@@ -394,53 +403,44 @@ def generate_map(config: MapGenConfig, seed: int) -> GameMap:
     return game_map
 
 
-def _grow_continents(config: MapGenConfig, rng: random.Random) -> list[list[bool]]:
+def _grow_continents(config: MapGenConfig, rng: random.Random) -> np.ndarray:
+    """(height + 2, width + 2) bool land mask: the map inside a ring of water."""
     w, h = config.width, config.height
+    stride = w + 2
     target = round(config.land_fraction * w * h)
-    land = [[False] * w for _ in range(h)]
+    # flat cells, row-major with the ring: 0 water, 1 land, 2 ring, which the
+    # growth treats as taken, so a neighbour needs no bounds check
+    cells = bytearray([2]) * (stride * (h + 2))
+    for y in range(1, h + 1):
+        cells[y * stride + 1 : y * stride + 1 + w] = bytes(w)
 
     # continent cores spread across the interior
-    cores = []
-    for i in range(config.continents):
-        cx = rng.randrange(w // 4, w - w // 4)
-        cy = rng.randrange(h // 4, h - h // 4)
-        cores.append((cx, cy))
+    cores = [(rng.randrange(w // 4, w - w // 4), rng.randrange(h // 4, h - h // 4)) for _ in range(config.continents)]
 
-    frontier: list[tuple[int, int]] = []
+    frontier: list[int] = []
     count = 0
     for cx, cy in cores:
-        if not land[cy][cx]:
-            land[cy][cx] = True
+        i = (cy + 1) * stride + cx + 1
+        if not cells[i]:
+            cells[i] = 1
             count += 1
-        frontier.append((cx, cy))
+        frontier.append(i)
 
-    while count < target and frontier:
+    # the map is connected, so the frontier empties only once every cell is
+    # land, which meets any target
+    while count < target:
         idx = rng.randrange(len(frontier))
-        x, y = frontier[idx]
-        neighbors = [
-            (x + dx, y + dy)
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            if 0 <= x + dx < w and 0 <= y + dy < h and not land[y + dy][x + dx]
-        ]
+        i = frontier[idx]
+        neighbors = [j for j in (i + 1, i - 1, i + stride, i - stride) if not cells[j]]
         if not neighbors:
             frontier[idx] = frontier[-1]
             frontier.pop()
             continue
-        nx, ny = neighbors[rng.randrange(len(neighbors))]
-        land[ny][nx] = True
+        j = neighbors[rng.randrange(len(neighbors))]
+        cells[j] = 1
         count += 1
-        frontier.append((nx, ny))
-
-    if count < target:
-        # frontier exhausted (tiny maps): fill remaining water cells in scan order
-        for y in range(h):
-            for x in range(w):
-                if count >= target:
-                    break
-                if not land[y][x]:
-                    land[y][x] = True
-                    count += 1
-    return land
+        frontier.append(j)
+    return np.frombuffer(cells, np.uint8).reshape(h + 2, w + 2) == 1
 
 
 def encode_map(game_map: GameMap) -> str:
@@ -458,9 +458,11 @@ def _encode(game_map: GameMap) -> str:
     w = game_map.width
     rows = [game_map.tiles[y * w : (y + 1) * w] for y in range(game_map.height)]
     lines = [f"{w} {game_map.height} {game_map.seed}"]
-    lines += ("".join(TERRAIN_CHARS[t.terrain] for t in row) for row in rows)
+    terrain_chars = [TERRAIN_CHARS[t] for t in TerrainKind]  # by code
+    special_chars = [SPECIAL_CHARS[s] for s in SpecialKind]
+    lines += ("".join(terrain_chars[t.terrain.code] for t in row) for row in rows)
     lines.append("")
-    lines += ("".join(SPECIAL_CHARS[t.special] if t.special else NONE_CHAR for t in row) for row in rows)
+    lines += ("".join(NONE_CHAR if t.special is None else special_chars[t.special.code] for t in row) for row in rows)
     lines.append("")
     lines += ("".join(RIVER_CHAR if t.river else NONE_CHAR for t in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -491,24 +493,21 @@ def decode_map(text: str) -> GameMap:
                 raise MapFormatError(f"{name} row {row!r} has length {len(row)}, expected {w}")
 
     tiles = []
-    for y in range(h):
-        for x in range(w):
-            tc = blocks[0][y][x]
-            if tc not in CHAR_TERRAINS:
+    for y, row_chars in enumerate(zip(*blocks)):
+        for x, (tc, sc, rc) in enumerate(zip(*row_chars)):
+            terrain = CHAR_TERRAINS.get(tc)
+            if terrain is None:
                 raise MapFormatError(f"unknown terrain char {tc!r} at ({x},{y})")
-            sc = blocks[1][y][x]
-            if sc != NONE_CHAR and sc not in CHAR_SPECIALS:
+            special = CHAR_SPECIALS.get(sc)
+            if special is None and sc != NONE_CHAR:
                 raise MapFormatError(f"unknown special char {sc!r} at ({x},{y})")
-            rc = blocks[2][y][x]
             if rc not in (NONE_CHAR, RIVER_CHAR):
                 raise MapFormatError(f"unknown river char {rc!r} at ({x},{y})")
-            terrain = CHAR_TERRAINS[tc]
-            special = CHAR_SPECIALS.get(sc)
             if rc == RIVER_CHAR and not terrain.buildable:
                 raise MapFormatError(f"river on water tile at ({x},{y})")
-            if special is SpecialKind.WHALES and terrain is not TerrainKind.OCEAN:
-                raise MapFormatError(f"Whales off Ocean at ({x},{y})")
-            tiles.append(Tile(x=x, y=y, terrain=terrain, special=special, river=rc == RIVER_CHAR))
+            if special is not None and special not in _ELIGIBLE_SPECIALS[terrain.code]:
+                raise MapFormatError(f"{special.value} not allowed on {terrain.value} at ({x},{y})")
+            tiles.append(Tile(x, y, terrain, special, rc == RIVER_CHAR))
     return GameMap(width=w, height=h, tiles=tiles, seed=seed)
 
 

@@ -11,6 +11,10 @@ to alter these bytes updates the digests below in the same change; any
 other difference is a regression. The runs include floating-point k-means
 fitting, MLP training and prediction, so the digests hold for one numpy
 and BLAS build.
+
+The map generator and the per-map facts are pinned over many seeds too:
+the text of the default-config maps of seeds 0-199, and those maps'
+cluster tables and tile yields.
 """
 
 import hashlib
@@ -21,7 +25,7 @@ import pytest
 
 from settlebench import engine, harness, mlp
 from settlebench.harness import ExperimentConfig, RlConfig, run_experiment
-from settlebench.world import MapGenConfig, generate_map
+from settlebench.world import MapGenConfig, cluster_table, encode_map, generate_map
 
 SEED = 11
 GAME = engine.GameConfig(turn_limit=40)
@@ -39,6 +43,9 @@ KB_DIGESTS = {
 }
 CLUSTER_MODEL_DIGEST = "991a3012c88e00e1561b0911b36dfee21c23212eae79a190318a970c6d1d924f"
 MODEL_DIGEST = "24a692fee59860106708998c0ef015aacbe3e9d3709fee30810333b84bf558e5"
+MAPS_SEEDS = range(200)
+MAPS_DIGEST = "f9654e6ffe57a5a23f0bad5b5b1693bde6475ff5ebe7863d93b5c7e5890c21db"
+MAP_FACTS_DIGEST = "ad9d93a85a8d80ccaee928d41dedf57f94382e47f0a3f42339ab751058ef8b32"
 NN_DIGESTS = {
     "config.json": "10580268b42d76e278e6dabdf4fd4e13b24ba396252a5b67eaea6a2ae62eff48",
     "logs/episode_00000.jsonl": "882cf9e00e34b3e0bdf75f79903815b46c4fe2fecb2ad9f7236301b4fbecc494",
@@ -115,3 +122,31 @@ def test_nn_run_is_byte_identical(tmp_path, seed_map):
     config = ExperimentConfig(evaluator="nn", episodes=3, base_seed=SEED, game=GAME)
     run_experiment(config, game_map=seed_map, nn=(model, norm), out_dir=str(tmp_path))
     assert run_digests(tmp_path) == NN_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def many_maps():
+    return [generate_map(MapGenConfig(), seed) for seed in MAPS_SEEDS]
+
+
+def test_generated_maps_are_byte_identical(many_maps):
+    h = hashlib.sha256()
+    for game_map in many_maps:
+        h.update(encode_map(game_map).encode())
+    assert h.hexdigest() == MAPS_DIGEST
+
+
+def test_per_map_facts_are_byte_identical(many_maps):
+    """sha256 over each map's cluster table (static, rule mask, sites,
+    buildable) and its per-tile yields and weights, in row-major order."""
+    h = hashlib.sha256()
+    for game_map in many_maps:
+        table = cluster_table(game_map)
+        h.update(table.static.tobytes())
+        h.update(table.rule_mask.tobytes())
+        h.update(table.sites.tobytes())
+        h.update(bytes(table.buildable))
+        state = engine.new_game(game_map, GAME)
+        rows = (f"{y.food},{y.production},{y.trade},{state.weights[xy]}" for xy, y in state.yields.items())
+        h.update("\n".join(rows).encode())
+    assert h.hexdigest() == MAP_FACTS_DIGEST

@@ -448,10 +448,19 @@ def test_a_log_or_run_dir_naming_other_fixed_rules_is_refused(tmp_path, key, cha
         load_run_dir(str(run))
 
 
+DATASET_HEADER = ",".join([*features.COLUMNS, "label"])
+
+
 @pytest.mark.parametrize(
     "reader, content",
     [
         (features.read_dataset_csv, ""),
+        pytest.param(
+            features.read_dataset_csv,
+            f"{DATASET_HEADER}\n" + ",".join(["x"] * (len(features.COLUMNS) + 1)) + "\n",
+            id="read_dataset_csv-non-numeric-cell",
+        ),
+        pytest.param(features.read_dataset_csv, f"{DATASET_HEADER}\n1,2,3,4,5\n", id="read_dataset_csv-short-row"),
         (read_metrics_csv, ""),
         (engine.read_episode_log, "[1, 2]\n"),
         (engine.read_episode_log, '{"kind": "header"}\n"turn"\n{"kind": "footer", "turns": 1}\n'),

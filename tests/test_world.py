@@ -1,19 +1,25 @@
 import dataclasses
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_map
+from settlebench import world
 from settlebench.world import (
     BUILDABLE_TERRAINS,
     CLUSTER_OFFSETS,
     MapFormatError,
     MapGenConfig,
     MapGenerationError,
+    SPECIAL_CHARS,
     SPECIAL_TERRAINS,
+    GameMap,
     SpecialKind,
     TerrainKind,
+    Tile,
     cluster_at,
     decode_map,
     encode_map,
@@ -78,6 +84,8 @@ def test_generated_specials_respect_invariants():
         dict(terrain_weights=(("Grassland", 0.0),)),
         dict(land_fraction=0.2, min_buildable_fraction=0.4),
         dict(special_frequency=1.5),
+        dict(terrain_weights=(("Grassland", 1.0), ("Plains", math.inf))),
+        dict(terrain_weights=(("Grassland", math.nan),)),
     ],
 )
 def test_generate_map_rejects_bad_config(bad):
@@ -161,6 +169,31 @@ def test_decode_rejects_invariant_violations():
         decode_map("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "terrain, special",
+    [
+        (TerrainKind.GRASSLAND, SpecialKind.GOLD),
+        (TerrainKind.PLAINS, SpecialKind.FISH),
+        (TerrainKind.DEEP_OCEAN, SpecialKind.WHALES),
+        (TerrainKind.OCEAN, SpecialKind.BULL),
+        (TerrainKind.MOUNTAINS, SpecialKind.WINE),
+    ],
+)
+def test_decode_refuses_specials_off_their_terrain(terrain, special):
+    lines = encode_map(flat_map(12, 12, terrain)).splitlines()
+    lines[12 + 2] = "." * 11 + SPECIAL_CHARS[special]
+    with pytest.raises(MapFormatError, match=rf"{special.value} not allowed on {terrain.value} at \(11,0\)"):
+        decode_map("\n".join(lines))
+
+
+def test_decode_accepts_every_special_on_its_terrain():
+    for special, terrains in SPECIAL_TERRAINS.items():
+        for terrain in terrains:
+            game_map = flat_map(12, 12, terrain)
+            game_map.tiles[0].special = special
+            assert decode_map(encode_map(game_map)) == game_map
+
+
 def test_fourth_layer_is_rejected():
     # ownership is game state, not a map layer: a former owner block is malformed
     text = encode_map(flat_map(12, 12)) + "\n" + "\n".join("." * 3 + "0" + "." * 8 for _ in range(12)) + "\n"
@@ -185,3 +218,131 @@ def test_paper_scale_config_supported():
     assert (game_map.width, game_map.height) == (80, 50)
     assert game_map.buildable_fraction() >= 0.4
     assert decode_map(encode_map(game_map)) == game_map
+
+
+# -- reference generator: the per-tile loop version of generate_map, kept
+# verbatim so that a faster generator must draw the same numbers in the
+# same order and give the same map
+
+
+def reference_generate_map(config: MapGenConfig, seed: int) -> GameMap:
+    """Deterministic map: seeded blob-growth continents, then per-tile specials/rivers."""
+    world._validate_gen_config(config)
+    rng = random.Random(seed)
+    w, h = config.width, config.height
+
+    land = _reference_grow_continents(config, rng)
+
+    kinds = list(config.weights_by_kind().keys())
+    kind_weights = list(config.weights_by_kind().values())
+
+    tiles: list[Tile] = []
+    for y in range(h):
+        for x in range(w):
+            if land[y][x]:
+                terrain = rng.choices(kinds, weights=kind_weights)[0]
+            else:
+                # shallow ocean hugs the coastline, deep ocean elsewhere
+                coastal = any(
+                    0 <= x + dx < w and 0 <= y + dy < h and land[y + dy][x + dx]
+                    for dx in (-1, 0, 1)
+                    for dy in (-1, 0, 1)
+                )
+                terrain = TerrainKind.OCEAN if coastal else TerrainKind.DEEP_OCEAN
+            tiles.append(Tile(x=x, y=y, terrain=terrain))
+
+    for t in tiles:
+        eligible = [s for s, allowed in SPECIAL_TERRAINS.items() if t.terrain in allowed]
+        if eligible and rng.random() < config.special_frequency:
+            t.special = rng.choice(eligible)
+        if t.terrain.buildable and rng.random() < config.river_frequency:
+            t.river = True
+
+    game_map = GameMap(width=w, height=h, tiles=tiles, seed=seed)
+    if game_map.buildable_fraction() < config.min_buildable_fraction:
+        raise MapGenerationError(
+            f"generated buildable fraction {game_map.buildable_fraction():.3f} "
+            f"below required {config.min_buildable_fraction}"
+        )
+    return game_map
+
+
+def _reference_grow_continents(config: MapGenConfig, rng: random.Random) -> list[list[bool]]:
+    w, h = config.width, config.height
+    target = round(config.land_fraction * w * h)
+    land = [[False] * w for _ in range(h)]
+
+    # continent cores spread across the interior
+    cores = []
+    for i in range(config.continents):
+        cx = rng.randrange(w // 4, w - w // 4)
+        cy = rng.randrange(h // 4, h - h // 4)
+        cores.append((cx, cy))
+
+    frontier: list[tuple[int, int]] = []
+    count = 0
+    for cx, cy in cores:
+        if not land[cy][cx]:
+            land[cy][cx] = True
+            count += 1
+        frontier.append((cx, cy))
+
+    while count < target and frontier:
+        idx = rng.randrange(len(frontier))
+        x, y = frontier[idx]
+        neighbors = [
+            (x + dx, y + dy)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            if 0 <= x + dx < w and 0 <= y + dy < h and not land[y + dy][x + dx]
+        ]
+        if not neighbors:
+            frontier[idx] = frontier[-1]
+            frontier.pop()
+            continue
+        nx, ny = neighbors[rng.randrange(len(neighbors))]
+        land[ny][nx] = True
+        count += 1
+        frontier.append((nx, ny))
+
+    if count < target:
+        # frontier exhausted (tiny maps): fill remaining water cells in scan order
+        for y in range(h):
+            for x in range(w):
+                if count >= target:
+                    break
+                if not land[y][x]:
+                    land[y][x] = True
+                    count += 1
+    return land
+
+
+def _map_text_or_error(generate, config, seed) -> str:
+    try:
+        return encode_map(generate(config, seed))
+    except MapGenerationError as exc:
+        return f"MapGenerationError: {exc}"
+
+
+frequencies = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def gen_configs(draw) -> MapGenConfig:
+    kinds = draw(st.permutations(BUILDABLE_TERRAINS))[: draw(st.integers(1, len(BUILDABLE_TERRAINS)))]
+    # the first weight is positive so the weights sum to a positive value; the rest may be zero
+    weights = [draw(st.floats(0.1, 30.0))] + [draw(st.one_of(st.just(0.0), st.floats(0.1, 30.0))) for _ in kinds[1:]]
+    return MapGenConfig(
+        width=draw(st.integers(12, 30)),
+        height=draw(st.integers(12, 30)),
+        land_fraction=draw(st.floats(0.4, 1.0)),
+        terrain_weights=tuple((k.value, wt) for k, wt in zip(kinds, weights)),
+        special_frequency=draw(frequencies),
+        river_frequency=draw(frequencies),
+        continents=draw(st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_configs(), st.integers(0, 2**32 - 1))
+def test_generate_map_matches_reference(config, seed):
+    assert _map_text_or_error(generate_map, config, seed) == _map_text_or_error(reference_generate_map, config, seed)
