@@ -35,7 +35,6 @@ from .world import (
     SpecialKind,
     TerrainKind,
     cluster_at,
-    cluster_in_bounds,
     cluster_table,
     decode_map,
     encode_map,
@@ -263,6 +262,9 @@ class GameState:
     # food + 2*production + trade + (gold+luxury+science), and the derived
     # points always partition the trade
     weights: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    # (players, height, width) bool: each player's legal centers; only
+    # `found_city` writes it (spacing boxes, and claims for other players)
+    legal: np.ndarray | None = field(default=None, repr=False)
     # set when owners, centers or head counts changed since the last full
     # rebooking of worked tiles (a founding, a growth, a settler built)
     rebook_due: bool = False
@@ -291,6 +293,7 @@ def new_game(game_map: GameMap, config: GameConfig, num_players: int = 1) -> Gam
         worked_by=[None] * len(game_map.tiles),
         yields=yields,
         weights=weights,
+        legal=np.repeat(cluster_table(game_map).sites[np.newaxis], num_players, axis=0),
     )
 
 
@@ -339,25 +342,14 @@ def city_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 
 def is_legal_founding_site(state: GameState, player_id: int, coord: tuple[int, int]) -> bool:
-    if not cluster_in_bounds(state.map, coord):
-        return False
-    if not state.map.tile(*coord).terrain.buildable:
-        return False
-    if state.owner[state.index(coord)] not in (None, player_id):
-        return False
-    return all(city_distance(coord, c.coord) >= state.config.min_city_distance for c in state.all_cities())
+    """README's founding rule, as kept by `found_city`; bounds first, since a negative index wraps."""
+    x, y = coord
+    return 0 <= x < state.map.width and 0 <= y < state.map.height and bool(state.legal[player_id, y, x])
 
 
 def legal_founding_sites(state: GameState, player_id: int) -> list[tuple[int, int]]:
-    """All legal centers in (y, x) order: is_legal_founding_site as array ops."""
-    legal = cluster_table(state.map).sites.copy()
-    claimed = [owner not in (None, player_id) for owner in state.owner]
-    legal &= ~np.reshape(claimed, legal.shape)
-    reach = state.config.min_city_distance - 1
-    if reach >= 0:
-        for c in state.all_cities():
-            legal[max(c.y - reach, 0) : c.y + reach + 1, max(c.x - reach, 0) : c.x + reach + 1] = False
-    ys, xs = np.nonzero(legal)
+    """All legal centers in (y, x) order."""
+    ys, xs = np.nonzero(state.legal[player_id])
     return list(zip(xs.tolist(), ys.tolist()))
 
 
@@ -379,13 +371,20 @@ def found_city(state: GameState, player_id: int, coord: tuple[int, int]) -> City
     state.next_city_id += 1
     player.cities.append(city)
     player.settlers.remove(settler)
+    reach = state.config.min_city_distance - 1
+    state.legal[:, max(y - reach, 0) : y + reach + 1, max(x - reach, 0) : x + reach + 1] = False
+    claimed = []
     for tile in cluster_tiles:
         i = state.index(tile.coord)
         if state.owner[i] is None:
             state.owner[i] = player_id
+            claimed.append(i)
             player.owned_tiles += 1
             player.owned_weight += state.weights[tile.coord]
             player.specials_owned += tile.special is not None
+    for other in state.players:
+        if other is not player:
+            state.legal[other.player_id].put(claimed, False)
     # center is worked from the founding turn on; evict any neighbour working it
     center = state.index(coord)
     displaced = state.worked_by[center]

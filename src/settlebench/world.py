@@ -347,6 +347,13 @@ class MapGenConfig:
 def _validate_gen_config(config: MapGenConfig) -> None:
     if config.width < 12 or config.height < 12:
         raise MapGenerationError(f"map dimensions {config.width}x{config.height} below the 12x12 minimum")
+    names = [name for name, _ in config.terrain_weights]
+    unknown = sorted(set(names) - {kind.value for kind in TerrainKind})
+    if unknown:
+        raise MapGenerationError(f"terrain weights name unknown terrains {unknown}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise MapGenerationError(f"terrain weights name {repeated} more than once")
     weights = config.weights_by_kind()
     if any(not kind.buildable for kind in weights):
         raise MapGenerationError("terrain weights may only name buildable kinds")

@@ -3,13 +3,28 @@ import pytest
 
 from settlebench import engine, harness, rl
 from settlebench.rulekb import default_kb
-from settlebench.world import GameMap, MapGenConfig, Tile, TerrainKind, generate_map
+from settlebench.world import GameMap, MapGenConfig, Tile, TerrainKind, cluster_in_bounds, generate_map
 
 
 def flat_map(width=12, height=12, terrain=TerrainKind.GRASSLAND, seed=0) -> GameMap:
     """Uniform synthetic map for hand-checkable scenarios."""
     tiles = [Tile(x=x, y=y, terrain=terrain) for y in range(height) for x in range(width)]
     return GameMap(width=width, height=height, tiles=tiles, seed=seed)
+
+
+def reference_legal_sites(state: engine.GameState, player_id: int) -> list[tuple[int, int]]:
+    """README's founding rule, checked site by site, in (y, x) order: a
+    buildable center whose cluster fits on the map, claimed by no other
+    player, at least `min_city_distance` from every city."""
+    return [
+        (x, y)
+        for y in range(state.map.height)
+        for x in range(state.map.width)
+        if cluster_in_bounds(state.map, (x, y))
+        and state.map.tile(x, y).terrain.buildable
+        and state.owner[state.index((x, y))] in (None, player_id)
+        and all(engine.city_distance((x, y), c.coord) >= state.config.min_city_distance for c in state.all_cities())
+    ]
 
 
 def single_state_model() -> rl.ClusterModel:

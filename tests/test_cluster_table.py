@@ -2,8 +2,9 @@
 
 The table answers legality, rule matching and feature extraction with
 array operations; these properties check it against direct per-tile
-definitions over generated maps and mid-game states (cities founded for
-two players, stray tiles claimed).
+definitions over generated maps and mid-game states (cities founded by
+three players). Legality is checked the same way: the per-player mask
+that `found_city` keeps against README's rule, site by site.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_map, single_state_model
+from conftest import flat_map, reference_legal_sites, single_state_model
 from settlebench import rl
 from settlebench.engine import (
     GameConfig,
@@ -61,21 +62,20 @@ def centers_of(game_map):
 
 @st.composite
 def mid_game(draw):
-    """A generated map with cities of players 0 and 1 and a few stray claims."""
+    """A generated map with cities of players 0, 1 and 2, each founded on a
+    center legal by README's rule; tiles are claimed only by foundings."""
     game_map = generate_map(MAPGEN, draw(st.integers(0, 10_000)))
     config = GameConfig(turn_limit=10, min_city_distance=draw(st.integers(1, 4)))
-    state = new_game(game_map, config, num_players=2)
+    state = new_game(game_map, config, num_players=3)
     rnd = draw(st.randoms(use_true_random=False))
-    for _ in range(draw(st.integers(0, 6))):
-        player = rnd.randrange(2)
-        sites = [c for c in centers_of(game_map) if is_legal_founding_site(state, player, c)]
+    for _ in range(draw(st.integers(0, 8))):
+        player = rnd.randrange(3)
+        sites = reference_legal_sites(state, player)
         if not sites:
             break
         site = rnd.choice(sites)
         add_settler(state, player, site)
         found_city(state, player, site)
-    for _ in range(draw(st.integers(0, 25))):
-        state.owner[rnd.randrange(len(state.owner))] = rnd.choice([None, 0, 1, 2])
     return state
 
 
@@ -85,20 +85,35 @@ def mid_game(draw):
 @settings(max_examples=40, deadline=None)
 @given(mid_game(), st.integers(0, 2))
 def test_array_legality_matches_the_per_site_check(state, player):
-    expected = [
+    expected = reference_legal_sites(state, player)
+    assert legal_founding_sites(state, player) == expected
+    assert [
         (x, y)
         for y in range(state.map.height)
         for x in range(state.map.width)
         if is_legal_founding_site(state, player, (x, y))
-    ]
-    assert legal_founding_sites(state, player) == expected
+    ] == expected
 
 
 @pytest.mark.parametrize("width,height", [(1, 1), (3, 7), (4, 4), (5, 5), (6, 12)])
 def test_array_legality_on_tiny_maps(width, height):
     state = new_game(flat_map(width, height), GameConfig(turn_limit=5))
-    expected = [(x, y) for y in range(height) for x in range(width) if is_legal_founding_site(state, 0, (x, y))]
+    expected = reference_legal_sites(state, 0)
     assert legal_founding_sites(state, 0) == expected
+    assert [(x, y) for y in range(height) for x in range(width) if is_legal_founding_site(state, 0, (x, y))] == expected
+    # a band three tiles deep just off each edge: a negative index that
+    # wrapped would land on a column or row of legal centers
+    off_map = [
+        (x, y)
+        for y in range(-3, height + 3)
+        for x in range(-3, width + 3)
+        if not (0 <= x < width and 0 <= y < height)
+    ]
+    for coord in off_map:
+        assert not is_legal_founding_site(state, 0, coord)
+        add_settler(state, 0, coord)
+        with pytest.raises(ValueError):
+            found_city(state, 0, coord)
 
 
 # -- rule matching -------------------------------------------------------------

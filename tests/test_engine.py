@@ -188,8 +188,9 @@ def test_found_city_on_grassland():
 
 
 def test_found_city_rejects_water():
-    state = grass_state()
-    state.map.tile(5, 5).terrain = TerrainKind.OCEAN
+    game_map = flat_map(12, 12)
+    game_map.tile(5, 5).terrain = TerrainKind.OCEAN  # before new_game, which scans the map
+    state = new_game(game_map, GameConfig(turn_limit=40))
     add_settler(state, 0, (5, 5))
     with pytest.raises(ValueError):
         found_city(state, 0, (5, 5))
@@ -204,6 +205,23 @@ def test_found_city_distance():
         found_city(state, 0, (6, 5))  # distance 1 < min_city_distance 2
     add_settler(state, 0, (7, 5))
     found_city(state, 0, (7, 5))  # distance 2 is allowed
+
+
+def test_a_claimed_tile_is_legal_only_for_its_owner():
+    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
+    add_settler(state, 1, (5, 5))
+    found_city(state, 1, (5, 5))
+    # claimed by player 1, and two tiles from the center: outside the spacing box
+    assert state.owner[state.index((7, 5))] == 1
+    assert not is_legal_founding_site(state, 0, (7, 5))
+    assert is_legal_founding_site(state, 1, (7, 5))
+    assert (7, 5) not in legal_founding_sites(state, 0)
+    assert (7, 5) in legal_founding_sites(state, 1)
+    add_settler(state, 0, (7, 5))
+    with pytest.raises(ValueError, match="not a legal founding site for player 0"):
+        found_city(state, 0, (7, 5))
+    add_settler(state, 1, (7, 5))
+    assert found_city(state, 1, (7, 5)).player == 1
 
 
 def test_min_city_distance_must_be_positive():

@@ -14,7 +14,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import agent_of, journaled_output, play_journaled
+from conftest import agent_of, journaled_output, play_journaled, reference_legal_sites
 from settlebench import engine
 from settlebench.engine import (
     CENTER_BONUS,
@@ -65,6 +65,8 @@ def check_invariants(state, journal) -> None:
         assert player.owned_weight == sum(state.weights[t.coord] for t in owned)
         assert player.specials_owned == sum(t.special is not None for t in owned)
         assert player.output == journaled_output(journal, player.player_id)
+        # the mask `found_city` keeps equals README's rule, site by site
+        assert engine.legal_founding_sites(state, player.player_id) == reference_legal_sites(state, player.player_id)
 
 
 @settings(max_examples=30, deadline=None)

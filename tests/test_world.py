@@ -86,6 +86,8 @@ def test_generated_specials_respect_invariants():
         dict(special_frequency=1.5),
         dict(terrain_weights=(("Grassland", 1.0), ("Plains", math.inf))),
         dict(terrain_weights=(("Grassland", math.nan),)),
+        dict(terrain_weights=(("Grassland", 1.0), ("Plains", 1.0), ("Grassland", 50.0))),
+        dict(terrain_weights=(("Grassland", 1.0), ("Lava", 1.0))),
     ],
 )
 def test_generate_map_rejects_bad_config(bad):
