@@ -35,7 +35,10 @@ def main() -> int:
     print(f"fixed map seed {run.game_map.seed}: buildable fraction {run.game_map.buildable_fraction():.3f}")
     cities = sum(len(log.foundings()) for log in run.corpus)
     print(f"bootstrap corpus: {len(run.corpus)} episodes, {cities} cities ({run.seconds['corpus']:.1f}s)")
-    print(f"regressor: {len(run.dataset)} unique entries, 10-fold CV MSE {run.train_report.mean_cv_mse:.5f}")
+    print(
+        f"regressor: {len(run.dataset)} unique entries, 10-fold CV MSE {run.train_report.mean_cv_mse:.5f} "
+        f"({run.seconds['train']:.1f}s)"
+    )
     for arm, result in run.arms.items():
         metrics = result.metrics
         print(

@@ -223,6 +223,8 @@ DEFAULT_GRID = (
 
 
 def cmd_train_nn(args) -> int:
+    if args.folds < 2:
+        raise UsageError(f"--folds must be >= 2, got {args.folds}")
     dataset = features.read_dataset_csv(args.dataset)
     folds = min(args.folds, len(dataset))
     if folds < 2:

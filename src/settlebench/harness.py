@@ -661,7 +661,7 @@ class ComparisonRun:
     train_report: mlp.TrainReport
     arms: dict[str, ExperimentResult]  # "kb" is the report's arm a, "nn" its arm b
     report: ComparisonReport
-    seconds: dict[str, float]  # wall time of the "corpus", "kb" and "nn" stages
+    seconds: dict[str, float]  # wall time of the "corpus", "train" (dataset and regressor), "kb" and "nn" stages
 
 
 def run_comparison(
@@ -684,8 +684,10 @@ def run_comparison(
     logs, points = bootstrap_corpus(game, mapgen, seed, max(bootstrap_episodes, warmup), game_map=game_map)
     corpus, warmup_points = logs[:bootstrap_episodes], points[: sum(len(log.turns) for log in logs[:warmup])]
     seconds = {"corpus": time.perf_counter() - t0}
+    t0 = time.perf_counter()
     dataset = features.build_dataset(corpus)
     model, norm, train_report = train_nn(dataset, mlp_config, folds=10)
+    seconds["train"] = time.perf_counter() - t0
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "map.txt"), "w") as fh:

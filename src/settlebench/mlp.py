@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -264,27 +265,84 @@ def cv_batch_size(batch_size: int, rows: int, folds: int) -> int:
     return min(batch_size, max(1, smallest_split // 2))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one);
+    1 where multiprocessing cannot fork, since a fold group is forked."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return cpus
+
+
+def _fold_mse(dataset: Dataset, config: MlpConfig, parts: list[np.ndarray], fold: int) -> float:
+    """Validation MSE of one CV fold: train on every part but `parts[fold]`,
+    with the normalization fitted on those parts only, then score that part."""
+    train_idx = np.concatenate([part for j, part in enumerate(parts) if j != fold])
+    train_ds = Dataset(dataset.x[train_idx], dataset.y[train_idx])
+    norm = minmax_fit(train_ds)
+    model, _ = train(train_ds, norm, config)
+    val_idx = parts[fold]
+    xv = minmax_apply(norm, dataset.x[val_idx])
+    yv = normalize_label(norm, dataset.y[val_idx])
+    return mse(predict(model, xv), yv)
+
+
+def _fit_folds(dataset: Dataset, config: MlpConfig, parts: list[np.ndarray], folds: range):
+    """(validation MSEs, None) for `folds` in order; on the first fold that
+    raises, the MSEs before it and that exception instead of None."""
+    mses = []
+    for fold in folds:
+        try:
+            mses.append(_fold_mse(dataset, config, parts, fold))
+        except Exception as exc:  # noqa: BLE001 - handed to kfold_cv, which raises it
+            return mses, exc
+    return mses, None
+
+
 def kfold_cv(dataset: Dataset, config: MlpConfig, folds: int = 10, seed: int = 0) -> TrainReport:
     """Shuffled k-fold CV; normalization is fitted on each training split only.
 
-    Validation MSE is reported in normalized label units.
+    Validation MSE is reported in normalized label units. The folds are
+    dealt round-robin into one group per usable CPU: this process fits
+    group 0 while forked workers fit the others, each fold exactly as a
+    serial loop would, so the report does not depend on the CPU count. A
+    failure raises the exception of the lowest failing fold, as the serial
+    loop would, once every worker has exited.
     """
     n = len(dataset)
     if folds < 2 or folds > n:
         raise ValueError(f"folds={folds} invalid for {n} entries")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    parts = np.array_split(order, folds)
-    report = TrainReport()
-    for i in range(folds):
-        val_idx = parts[i]
-        train_idx = np.concatenate([parts[j] for j in range(folds) if j != i])
-        train_ds = Dataset(dataset.x[train_idx], dataset.y[train_idx])
-        norm = minmax_fit(train_ds)
-        model, _ = train(train_ds, norm, config)
-        xv = minmax_apply(norm, dataset.x[val_idx])
-        yv = normalize_label(norm, dataset.y[val_idx])
-        report.fold_mses.append(mse(predict(model, xv), yv))
+    parts = np.array_split(rng.permutation(n), folds)
+    workers = min(usable_cpus(), folds)
+    groups = [range(g, folds, workers) for g in range(workers)]
+    if workers == 1:
+        results = [_fit_folds(dataset, config, parts, groups[0])]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked, not spawned: a spawned worker would first import numpy, this library
+        # and the caller's main script, which would then need a __main__ guard
+        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_fit_folds, dataset, config, parts, group) for group in groups[1:]]
+            results = [_fit_folds(dataset, config, parts, groups[0])]
+            results += [future.result() for future in futures]
+    report = TrainReport(fold_mses=[0.0] * folds)
+    failures = []
+    for group, (mses, error) in zip(groups, results):
+        for fold, value in zip(group, mses):
+            report.fold_mses[fold] = value
+        if error is not None:
+            failures.append((group[len(mses)], error))
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
     report.mean_cv_mse = float(np.mean(report.fold_mses))
     return report
 

@@ -150,6 +150,31 @@ def test_train_on_synthetic_linear_beats_label_variance(tmp_path, capsys):
     assert cv_mse < float(np.var(normalized))
 
 
+@pytest.mark.parametrize("folds", ["1", "0", "-3"])
+def test_train_refuses_fewer_than_two_folds_by_the_flag(tmp_path, capsys, folds):
+    rng = np.random.default_rng(0)
+    x = rng.random((80, len(features.COLUMNS)))
+    csv_path = tmp_path / "d.csv"
+    features.write_dataset_csv(features.Dataset(x, x[:, 0]), csv_path)
+    model_path = tmp_path / "m.json"
+    code = run_cli("train-nn", "--dataset", csv_path, "--out-model", model_path, "--folds", folds)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"--folds must be >= 2, got {folds}" in err
+    assert "too small" not in err
+    assert not model_path.exists()
+
+
+def test_train_refuses_a_dataset_too_small_to_cross_validate(tmp_path, capsys):
+    x = np.random.default_rng(0).random((1, len(features.COLUMNS)))
+    csv_path = tmp_path / "d.csv"
+    features.write_dataset_csv(features.Dataset(x, x[:, 0]), csv_path)
+    model_path = tmp_path / "m.json"
+    assert run_cli("train-nn", "--dataset", csv_path, "--out-model", model_path) == 1
+    assert "dataset of 1 entries is too small to cross-validate" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_train_refuses_negative_epochs_and_saves_nothing(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = rng.random((20, len(features.COLUMNS)))

@@ -292,51 +292,67 @@ def test_assign_full_city_works_all_21():
     assert len(assign_citizens(state, city)) == 21
 
 
+def found_cities(state, player_id, centers):
+    """Found `player_id`'s cities at `centers`, in order; each claims its free cluster tiles."""
+    for center in centers:
+        add_settler(state, player_id, center)
+        found_city(state, player_id, center)
+
+
 def test_assign_skips_other_players_claims():
     state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
-    add_settler(state, 0, (5, 5))
-    city = found_city(state, 0, (5, 5))
-    state.owner[state.index((6, 5))] = 1
+    # player 1's cluster around (8, 5) reaches x=6 and 7 at rows 4-6, outside (5, 5)'s corners
+    found_cities(state, 1, [(8, 5)])
+    found_cities(state, 0, [(5, 5)])
+    city = state.players[0].cities[0]
+    assert state.owner[state.index((6, 5))] == 1 and state.worked_by[state.index((6, 5))] is None
     city.citizens = 21
     worked = assign_citizens(state, city)
     assert (6, 5) not in worked
-    assert len(worked) == 20
+    assert worked == {city.coord} | {coord for i, coord in city.candidates if state.owner[i] == 0}
+    assert len(worked) == 21 - 6
+
+
+# player 1 centers two tiles diagonally off (5, 5): their clusters leave out
+# their corners, so (5, 5) stays free while every tile beside it is claimed
+DIAGONALS = [(3, 3), (7, 3), (3, 7), (7, 7)]
 
 
 def test_growth_needs_a_free_tile():
-    state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
-    add_settler(state, 0, (5, 5))
-    city = found_city(state, 0, (5, 5))
-    for i, _ in city.candidates:
-        state.owner[i] = 1  # another player claims every tile beside the center
-    city.food_store = 1000
-    step_turn(state)
-    assert city.citizens == 1
-    assert city.food_store == 1000 + 4 - 2  # grass center 2 + center bonus 2, one citizen eats 2
-    state.owner[city.candidates[0][0]] = None
-    step_turn(state)
-    assert city.citizens == 2
+    for claims, free in ((DIAGONALS, 0), (DIAGONALS[:3], 3)):
+        state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
+        found_cities(state, 1, claims)
+        found_cities(state, 0, [(5, 5)])
+        city = state.players[0].cities[0]
+        assert sum(state.owner[i] == 0 for i, _ in city.candidates) == free
+        city.food_store = 1000
+        step_turn(state)
+        if free:
+            assert city.citizens == 2
+        else:
+            assert city.citizens == 1
+            assert city.food_store == 1000 + 4 - 2  # grass center 2 + center bonus 2, one citizen eats 2
 
 
 def test_evicted_neighbour_loses_the_points_of_the_new_center():
     # the neighbour works the new city's center and has no other tile to move
-    # to, so rebooking leaves its worked set as the founding edited it
+    # to, since it already works all it owns, so rebooking leaves its worked
+    # set as the founding edited it
     state = new_game(flat_map(12, 12), GameConfig(turn_limit=10), num_players=2)
-    add_settler(state, 0, (5, 5))
-    old = found_city(state, 0, (5, 5))
-    for i, coord in old.candidates:
-        if coord != (7, 5):
-            state.owner[i] = 1
-    old.citizens = 2
+    found_cities(state, 1, [(3, 3), (3, 7), (8, 2), (8, 8)])
+    found_cities(state, 0, [(5, 5)])
+    old = state.players[0].cities[0]
+    owned = {coord for i, coord in old.candidates if state.owner[i] == 0}
+    assert owned == {(6, 4), (6, 5), (6, 6), (7, 5)}
+    old.citizens = 5
     record = step_turn(state)
-    assert old.worked == {(5, 5), (7, 5)}
-    assert [cr.points for cr in record.cities if cr.city_id == old.id] == [OutputPoints(food=6, production=1)]
-    add_settler(state, 0, (7, 5))
-    found_city(state, 0, (7, 5))
+    assert old.worked == {(5, 5), *owned}
+    assert [cr.points for cr in record.cities if cr.city_id == old.id] == [OutputPoints(food=12, production=1)]
+    found_cities(state, 0, [(7, 5)])
     record = step_turn(state)
-    assert old.worked == {(5, 5)} and old.citizens == 1
-    # grass center 2 + center bonus (2, 1, 0): the lost tile's 2 food are gone
-    assert [cr.points for cr in record.cities if cr.city_id == old.id] == [OutputPoints(food=4, production=1)]
+    assert old.worked == {(5, 5), (6, 4), (6, 5), (6, 6)} and old.citizens == 4
+    # four grass tiles of 2 food + center bonus (2, 1, 0): the lost tile's 2 food are gone
+    assert [cr.points for cr in record.cities if cr.city_id == old.id] == [OutputPoints(food=10, production=1)]
 
 
 # -- turn stepping -----------------------------------------------------------------

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from settlebench import harness, mlp
 from settlebench.features import Dataset, minmax_fit
 from settlebench.mlp import (
     AdamState,
@@ -343,6 +348,75 @@ def test_kfold_rejects_too_many_folds():
     ds = linear_dataset(n=5)
     with pytest.raises(ValueError):
         kfold_cv(ds, small_config(input_dim=6), folds=6)
+
+
+def test_usable_cpus_lies_within_the_machines():
+    assert 1 <= mlp.usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_importing_the_library_leaves_the_process_pool_unimported():
+    code = "import sys, settlebench.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+CPU_COUNTS = (1, 2, 3)
+
+
+def test_kfold_gives_the_same_report_on_any_cpu_count(monkeypatch):
+    """Folds dealt over 1, 2 or 3 CPUs (this process plus 0, 1 or 2 forked
+    workers) give the serial loop's fold MSEs, and train_nn's model, bit for bit."""
+    ds = linear_dataset(n=60)
+    cfg = MlpConfig(input_dim=6, hidden=(6,), epochs=4, batch_size=5, seed=2)
+    reports, trained = [], []
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+        reports.append(kfold_cv(ds, cfg, folds=10, seed=1))
+        assert multiprocessing.active_children() == []
+        model, norm, report = harness.train_nn(ds, cfg, folds=10, cv_seed=1)
+        assert multiprocessing.active_children() == []
+        trained.append((model.flat.tobytes(), norm.to_dict(), report))
+    assert len(reports[0].fold_mses) == 10
+    assert all(r == reports[0] for r in reports)
+    assert reports[0].mean_cv_mse == float(np.mean(reports[0].fold_mses))
+    assert all(t == trained[0] for t in trained)
+    assert trained[0][2].fold_mses == reports[0].fold_mses
+
+
+def test_kfold_raises_what_the_serial_loop_raises_on_any_cpu_count(monkeypatch):
+    # 23 rows in 10 folds: training splits of 20 and 21 rows, both too small for batches of 11
+    ds = linear_dataset(n=23)
+    cfg = small_config(input_dim=6, batch_size=11)
+    messages = []
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError) as excinfo:
+            kfold_cv(ds, cfg, folds=10)
+        messages.append(str(excinfo.value))
+        assert multiprocessing.active_children() == []
+    assert messages == ["dataset of 20 rows is too small for batch size 11"] * len(CPU_COUNTS)
+
+
+def test_kfold_raises_the_lowest_failing_fold_on_any_cpu_count(monkeypatch):
+    """Folds 2, 4 and 7 fail. With 2 CPUs this process fails at fold 2 and the
+    worker at fold 7; with 3 CPUs the two workers fail at folds 4 and 2.
+    Fold 2's error wins either way, as in the serial loop."""
+    fit = mlp._fold_mse
+
+    def failing(dataset, config, parts, fold):
+        if fold in (2, 4, 7):
+            raise ValueError(f"fold {fold} failed")
+        return fit(dataset, config, parts, fold)
+
+    monkeypatch.setattr(mlp, "_fold_mse", failing)  # the workers fork with it
+    ds = linear_dataset(n=40)
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="^fold 2 failed$"):
+            kfold_cv(ds, small_config(input_dim=6, epochs=1), folds=10)
+        assert multiprocessing.active_children() == []
 
 
 # -- grid search -------------------------------------------------------------------

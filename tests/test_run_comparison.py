@@ -2,6 +2,7 @@
 holds what harness.run_comparison returns for the same sizes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,9 @@ def test_script_writes_the_comparison_it_returns(tmp_path):
     assert summary == "\n".join(report.summary_lines()) + "\n"
 
     run = harness.run_comparison(episodes=4, bootstrap_episodes=70, epochs=3, turn_limit=30)
+    assert list(run.seconds) == ["corpus", "train", "kb", "nn"]
+    assert all(seconds > 0 for seconds in run.seconds.values())
+    assert re.search(r"^regressor: .* CV MSE [0-9.]+ \([0-9]+\.[0-9]s\)$", proc.stdout, re.M)
     assert metrics_kb.tgo == run.arms["kb"].metrics.tgo
     assert metrics_nn.tgo == run.arms["nn"].metrics.tgo
     assert report.summary_lines() == run.report.summary_lines()
