@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -267,17 +268,13 @@ def cv_batch_size(batch_size: int, rows: int, folds: int) -> int:
 
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one);
-    1 where multiprocessing cannot fork, since a fold group is forked."""
+    1 where the OS cannot fork, since each fold group is fitted in a forked child."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    if cpus > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return cpus
+        return os.cpu_count() or 1
 
 
 def _fold_mse(dataset: Dataset, config: MlpConfig, parts: list[np.ndarray], fold: int) -> float:
@@ -293,27 +290,60 @@ def _fold_mse(dataset: Dataset, config: MlpConfig, parts: list[np.ndarray], fold
     return mse(predict(model, xv), yv)
 
 
-def _fit_folds(dataset: Dataset, config: MlpConfig, parts: list[np.ndarray], folds: range):
-    """(validation MSEs, None) for `folds` in order; on the first fold that
-    raises, the MSEs before it and that exception instead of None."""
-    mses = []
+def _fit_folds(dataset: Dataset, config: MlpConfig, parts: list[np.ndarray], folds: range) -> list:
+    """The validation MSE of each of `folds` in order, up to the first fold
+    that raises; that fold's exception ends the list."""
+    outcomes = []
     for fold in folds:
         try:
-            mses.append(_fold_mse(dataset, config, parts, fold))
-        except Exception as exc:  # noqa: BLE001 - handed to kfold_cv, which raises it
-            return mses, exc
-    return mses, None
+            outcomes.append(_fold_mse(dataset, config, parts, fold))
+        except Exception as exc:  # noqa: BLE001 - kfold_cv raises it
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _in_children(fn, arg_lists: list[tuple]) -> list:
+    """`[fn(*args) for args in arg_lists]`, each call in a child forked for
+    it, all at once; results come back pickled through a pipe. Every child
+    has exited when this returns or raises."""
+    children = []
+    try:
+        for args in arg_lists:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into the caller's code
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as out:
+                        pickle.dump(fn(*args), out)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        results = []
+        for pid, result in children:
+            try:
+                results.append(pickle.load(result))
+            except EOFError:
+                raise ChildProcessError(f"child {pid} exited without a result") from None
+        return results
+    finally:
+        for pid, result in children:
+            result.close()
+            os.waitpid(pid, 0)
 
 
 def kfold_cv(dataset: Dataset, config: MlpConfig, folds: int = 10, seed: int = 0) -> TrainReport:
     """Shuffled k-fold CV; normalization is fitted on each training split only.
 
     Validation MSE is reported in normalized label units. The folds are
-    dealt round-robin into one group per usable CPU: this process fits
-    group 0 while forked workers fit the others, each fold exactly as a
-    serial loop would, so the report does not depend on the CPU count. A
+    dealt round-robin into one group per usable CPU. With one group this
+    process fits it; with more, each group is fitted in a child forked for
+    it while this process waits. Each fold is fitted exactly as a serial
+    loop would, so the report does not depend on the CPU count, and a
     failure raises the exception of the lowest failing fold, as the serial
-    loop would, once every worker has exited.
+    loop would, once every child has exited.
     """
     n = len(dataset)
     if folds < 2 or folds > n:
@@ -323,26 +353,17 @@ def kfold_cv(dataset: Dataset, config: MlpConfig, folds: int = 10, seed: int = 0
     workers = min(usable_cpus(), folds)
     groups = [range(g, folds, workers) for g in range(workers)]
     if workers == 1:
-        results = [_fit_folds(dataset, config, parts, groups[0])]
+        fitted = [_fit_folds(dataset, config, parts, groups[0])]
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked, not spawned: a spawned worker would first import numpy, this library
-        # and the caller's main script, which would then need a __main__ guard
-        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_fit_folds, dataset, config, parts, group) for group in groups[1:]]
-            results = [_fit_folds(dataset, config, parts, groups[0])]
-            results += [future.result() for future in futures]
-    report = TrainReport(fold_mses=[0.0] * folds)
-    failures = []
-    for group, (mses, error) in zip(groups, results):
-        for fold, value in zip(group, mses):
-            report.fold_mses[fold] = value
-        if error is not None:
-            failures.append((group[len(mses)], error))
+        # this process only waits: a page it wrote while a child was alive would be
+        # copied, and on the host measured its work after such a fit ran slower
+        fitted = _in_children(_fit_folds, [(dataset, config, parts, group) for group in groups])
+    outcomes = {fold: outcome for group, done in zip(groups, fitted) for fold, outcome in zip(group, done)}
+    # a fold missing from `outcomes` comes after its group's failure
+    failures = [outcomes[fold] for fold in sorted(outcomes) if isinstance(outcomes[fold], Exception)]
     if failures:
-        raise min(failures, key=itemgetter(0))[1]
+        raise failures[0]
+    report = TrainReport(fold_mses=[outcomes[fold] for fold in range(folds)])
     report.mean_cv_mse = float(np.mean(report.fold_mses))
     return report
 

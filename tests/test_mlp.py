@@ -1,9 +1,6 @@
 import dataclasses
 import json
-import multiprocessing
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -354,29 +351,26 @@ def test_usable_cpus_lies_within_the_machines():
     assert 1 <= mlp.usable_cpus() <= (os.cpu_count() or 1)
 
 
-def test_importing_the_library_leaves_the_process_pool_unimported():
-    code = "import sys, settlebench.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 CPU_COUNTS = (1, 2, 3)
 
 
 def test_kfold_gives_the_same_report_on_any_cpu_count(monkeypatch):
-    """Folds dealt over 1, 2 or 3 CPUs (this process plus 0, 1 or 2 forked
-    workers) give the serial loop's fold MSEs, and train_nn's model, bit for bit."""
+    """Folds dealt over 1, 2 or 3 CPUs (this process, or 2 or 3 forked
+    children) give the serial loop's fold MSEs, and train_nn's model, bit for bit."""
     ds = linear_dataset(n=60)
     cfg = MlpConfig(input_dim=6, hidden=(6,), epochs=4, batch_size=5, seed=2)
     reports, trained = [], []
     for cpus in CPU_COUNTS:
         monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
         reports.append(kfold_cv(ds, cfg, folds=10, seed=1))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         model, norm, report = harness.train_nn(ds, cfg, folds=10, cv_seed=1)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         trained.append((model.flat.tobytes(), norm.to_dict(), report))
     assert len(reports[0].fold_mses) == 10
     assert all(r == reports[0] for r in reports)
@@ -395,13 +389,13 @@ def test_kfold_raises_what_the_serial_loop_raises_on_any_cpu_count(monkeypatch):
         with pytest.raises(ValueError) as excinfo:
             kfold_cv(ds, cfg, folds=10)
         messages.append(str(excinfo.value))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert messages == ["dataset of 20 rows is too small for batch size 11"] * len(CPU_COUNTS)
 
 
 def test_kfold_raises_the_lowest_failing_fold_on_any_cpu_count(monkeypatch):
-    """Folds 2, 4 and 7 fail. With 2 CPUs this process fails at fold 2 and the
-    worker at fold 7; with 3 CPUs the two workers fail at folds 4 and 2.
+    """Folds 2, 4 and 7 fail. With 2 CPUs the children fail at folds 2 and 7;
+    with 3 CPUs the first child fails nowhere and the others at folds 4 and 2.
     Fold 2's error wins either way, as in the serial loop."""
     fit = mlp._fold_mse
 
@@ -410,13 +404,29 @@ def test_kfold_raises_the_lowest_failing_fold_on_any_cpu_count(monkeypatch):
             raise ValueError(f"fold {fold} failed")
         return fit(dataset, config, parts, fold)
 
-    monkeypatch.setattr(mlp, "_fold_mse", failing)  # the workers fork with it
+    monkeypatch.setattr(mlp, "_fold_mse", failing)  # the children fork with it
     ds = linear_dataset(n=40)
     for cpus in CPU_COUNTS:
         monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
         with pytest.raises(ValueError, match="^fold 2 failed$"):
             kfold_cv(ds, small_config(input_dim=6, epochs=1), folds=10)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_kfold_reports_a_child_that_dies_without_a_result(monkeypatch, cpus):
+    fit = mlp._fold_mse
+
+    def dying(dataset, config, parts, fold):
+        if fold == 1:  # always fitted in a child here, never in this process
+            os._exit(3)
+        return fit(dataset, config, parts, fold)
+
+    monkeypatch.setattr(mlp, "_fold_mse", dying)
+    monkeypatch.setattr(mlp, "usable_cpus", lambda: cpus)
+    with pytest.raises(ChildProcessError, match="exited without a result"):
+        kfold_cv(linear_dataset(n=40), small_config(input_dim=6, epochs=1), folds=10)
+    assert_no_child_left()
 
 
 # -- grid search -------------------------------------------------------------------
