@@ -19,12 +19,12 @@ the placement choice is the only evaluator-dependent behaviour.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +178,8 @@ class City:
     # the 20 non-center cluster tiles as (tile index, coord), best first by
     # (-weight, y, x); weights are fixed per game, so sorted once at founding
     candidates: tuple[tuple[int, tuple[int, int]], ...] = field(default=(), repr=False, compare=False)
+    # the last turn record journaled; later turns share it while unchanged
+    record: CityTurnRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def coord(self) -> tuple[int, int]:
@@ -224,8 +226,12 @@ class FoundingRecord:
     decided_turn: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CityTurnRecord:
+    """A city's state on one turn. One record stands for every consecutive
+    turn with the same state, in journals and in loaded logs alike, so it
+    is frozen; `worked` must not be edited either."""
+
     city_id: int
     player: int
     x: int
@@ -238,6 +244,8 @@ class CityTurnRecord:
 @dataclass
 class TurnRecord:
     turn: int
+    # in a played or loaded log, a turn on which no city record changed
+    # holds the turn before's list itself; do not edit it
     cities: list[CityTurnRecord] = field(default_factory=list)
     targets: list[tuple[int, tuple[int, int]]] = field(default_factory=list)
     foundings: list[FoundingRecord] = field(default_factory=list)
@@ -491,6 +499,13 @@ def _settler_phase(state: GameState) -> None:
 
 
 def _city_phase(state: GameState) -> None:
+    """Every city, oldest first: rebook if due, produce, grow, build settlers.
+
+    Each city's output is journaled as one frozen `CityTurnRecord`, and the
+    same record object stands for the city on every later turn until its
+    head count, worked tiles or points change. Logs are written from the
+    records' values, so their bytes do not depend on the sharing.
+    """
     cities = sorted(state.all_cities(), key=lambda c: c.id)
 
     # re-book non-center worked tiles, oldest city first; the center stays
@@ -509,19 +524,7 @@ def _city_phase(state: GameState) -> None:
         player = state.player(city.player)
         player.output += city.points_total
         if state.events is not None:
-            if city.worked_sorted is None:
-                city.worked_sorted = sorted(city.worked, key=lambda c: (c[1], c[0]))
-            state.events.cities.append(
-                CityTurnRecord(
-                    city_id=city.id,
-                    player=city.player,
-                    x=city.x,
-                    y=city.y,
-                    citizens=city.citizens,
-                    worked=city.worked_sorted,
-                    points=points,
-                )
-            )
+            state.events.cities.append(_city_record(city, points))
 
         city.food_store = max(0, city.food_store + points.food - FOOD_PER_CITIZEN * city.citizens)
         population_before = city.citizens
@@ -547,6 +550,27 @@ def _city_phase(state: GameState) -> None:
             _release_worked(state, city)
             _book_worked(state, city)
             state.rebook_due = True
+
+
+def _city_record(city: City, points: OutputPoints) -> CityTurnRecord:
+    """The city's turn record: the one journaled last while its head count,
+    worked tiles and points are unchanged, else a new one. The cached
+    worked list and points are usually the very objects it holds, so the
+    tuple comparison seldom looks past identity."""
+    if city.worked_sorted is None:
+        city.worked_sorted = sorted(city.worked, key=lambda c: (c[1], c[0]))
+    rec = city.record
+    if rec is None or (rec.citizens, rec.worked, rec.points) != (city.citizens, city.worked_sorted, points):
+        city.record = rec = CityTurnRecord(
+            city_id=city.id,
+            player=city.player,
+            x=city.x,
+            y=city.y,
+            citizens=city.citizens,
+            worked=city.worked_sorted,
+            points=points,
+        )
+    return rec
 
 
 def _city_points(state: GameState, city: City) -> OutputPoints:
@@ -662,7 +686,10 @@ def run_episode(
     place_initial_settlers(state, player_id)
     turns = []
     while not state.finished:
-        turns.append(step_turn(state, agent))
+        record = step_turn(state, agent)
+        if turns:
+            record.cities = _shared_cities(record.cities, turns[-1].cities)
+        turns.append(record)
         if on_turn is not None:
             on_turn(state)
     return EpisodeLog(
@@ -674,6 +701,14 @@ def run_episode(
         turns=turns,
         final_tgo=state.player(player_id).output,
     )
+
+
+def _shared_cities(cities: list[CityTurnRecord], previous: list[CityTurnRecord]) -> list[CityTurnRecord]:
+    """`previous` when it holds the very records of `cities`: a turn on
+    which no city changed shares the turn before's list."""
+    if len(cities) == len(previous) and all(map(operator.is_, cities, previous)):
+        return previous
+    return cities
 
 
 class ReplayAgent:
@@ -718,28 +753,34 @@ def _triple(y: YieldTriple) -> list[int]:
     return [y.food, y.production, y.trade]
 
 
-# the fixed rules as every log and config.json has always held them; a game
-# starts at default_start_position, and 20 candidate tiles cap a city at 21
-_FIXED_RULES = {
-    "trade_split": list(TRADE_SPLIT),
-    "growth_threshold_base": GROWTH_THRESHOLD_BASE,
-    "food_per_citizen": FOOD_PER_CITIZEN,
-    "settler_production_cost": SETTLER_PRODUCTION_COST,
-    "settler_population_cost": SETTLER_POPULATION_COST,
-    "start_position": None,
-    "max_city_size": 21,
-    "ruleset": {
-        "terrain_yields": {k.value: _triple(y) for k, y in TERRAIN_YIELDS.items()},
-        "special_bonuses": {k.value: _triple(y) for k, y in SPECIAL_BONUSES.items()},
-        "river_trade_bonus": RIVER_TRADE_BONUS,
-        "center_bonus": _triple(CENTER_BONUS),
-    },
-}
+def _fixed_rules() -> dict:
+    """The fixed rules as every log and config.json has always held them,
+    built afresh: cheaper than a deep copy, and no caller shares a list.
+    A game starts at default_start_position, and 20 candidate tiles cap a
+    city at 21."""
+    return {
+        "trade_split": list(TRADE_SPLIT),
+        "growth_threshold_base": GROWTH_THRESHOLD_BASE,
+        "food_per_citizen": FOOD_PER_CITIZEN,
+        "settler_production_cost": SETTLER_PRODUCTION_COST,
+        "settler_population_cost": SETTLER_POPULATION_COST,
+        "start_position": None,
+        "max_city_size": 21,
+        "ruleset": {
+            "terrain_yields": {k.value: _triple(y) for k, y in TERRAIN_YIELDS.items()},
+            "special_bonuses": {k.value: _triple(y) for k, y in SPECIAL_BONUSES.items()},
+            "river_trade_bonus": RIVER_TRADE_BONUS,
+            "center_bonus": _triple(CENTER_BONUS),
+        },
+    }
+
+
+_FIXED_RULES = _fixed_rules()
 
 
 def config_to_dict(config: GameConfig) -> dict:
-    """JSON-ready fields and a copy of the fixed rules."""
-    return {**vars(config), **copy.deepcopy(_FIXED_RULES)}
+    """JSON-ready fields and a fresh copy of the fixed rules."""
+    return {**vars(config), **_fixed_rules()}
 
 
 def config_from_dict(d: dict) -> GameConfig:
@@ -756,11 +797,28 @@ _POINTS_FIELDS = tuple(f.name for f in dataclasses.fields(OutputPoints))
 _FOUNDING_FIELDS = tuple(f.name for f in dataclasses.fields(FoundingRecord))
 
 
+def _encode_city(cr: CityTurnRecord) -> str:
+    return _encode_record(
+        {
+            "city_id": cr.city_id,
+            "player": cr.player,
+            "x": cr.x,
+            "y": cr.y,
+            "citizens": cr.citizens,
+            "worked": cr.worked,
+            "points": {name: getattr(cr.points, name) for name in _POINTS_FIELDS},
+        }
+    )
+
+
 def write_episode_log(log: EpisodeLog, path) -> None:
     """One JSON record per line: header, one record per turn, footer.
 
     Records are built straight from the fields (tuples encode as arrays):
     nothing is copied for the encoder, and no record's `__dict__` is made.
+    A city record shared by several turns is encoded once, and its text
+    spliced into each turn line; "cities" sorts first among a turn's keys,
+    so every line is the `json.dumps(sort_keys=True)` of the whole turn.
     """
     header = {
         "kind": "header",
@@ -771,26 +829,24 @@ def write_episode_log(log: EpisodeLog, path) -> None:
         "config": config_to_dict(log.config),
     }
     lines = [_encode_record(header)]
+    # by id: every record stays alive in `log` while the call runs
+    city_texts: dict[int, str] = {}
     for tr in log.turns:
-        rec = {
-            "kind": "turn",
-            "turn": tr.turn,
-            "cities": [
-                {
-                    "city_id": cr.city_id,
-                    "player": cr.player,
-                    "x": cr.x,
-                    "y": cr.y,
-                    "citizens": cr.citizens,
-                    "worked": cr.worked,
-                    "points": {name: getattr(cr.points, name) for name in _POINTS_FIELDS},
-                }
-                for cr in tr.cities
-            ],
-            "targets": tr.targets,
-            "foundings": [{name: getattr(f, name) for name in _FOUNDING_FIELDS} for f in tr.foundings],
-        }
-        lines.append(_encode_record(rec))
+        cities = []
+        for cr in tr.cities:
+            text = city_texts.get(id(cr))
+            if text is None:
+                text = city_texts[id(cr)] = _encode_city(cr)
+            cities.append(text)
+        rest = _encode_record(
+            {
+                "kind": "turn",
+                "turn": tr.turn,
+                "targets": tr.targets,
+                "foundings": [{name: getattr(f, name) for name in _FOUNDING_FIELDS} for f in tr.foundings],
+            }
+        )
+        lines.append(f'{{"cities": [{", ".join(cities)}], {rest[1:]}')
     lines.append(_encode_record({"kind": "footer", "final_tgo": log.final_tgo, "turns": len(log.turns)}))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -813,15 +869,26 @@ def read_episode_log(path) -> EpisodeLog:
         if header.get("kind") != "header" or footer.get("kind") != "footer":
             raise ValueError("not a complete episode log")
         turns = []
+        # per city id, the last city dict read and the record built from it:
+        # an equal dict on a later turn shares that record
+        last: dict = {}
         # decoded one line at a time, so only the built records outlive the loop
         for rec in map(record, lines[1:-1]):
             if rec.get("kind") != "turn":
                 raise ValueError(f"unexpected record kind {rec.get('kind')!r}")
-            cities = [
-                CityTurnRecord(**{**c, "worked": [tuple(w) for w in c["worked"]],
-                                  "points": OutputPoints(**c["points"])})
-                for c in rec["cities"]
-            ]
+            if rec["turn"] != len(turns) + 1:
+                raise ValueError(f"turn record {len(turns) + 1} is numbered {rec['turn']!r}")
+            cities = []
+            for c in rec["cities"]:
+                seen = last.get(c["city_id"])
+                if seen is None or seen[0] != c:
+                    built = CityTurnRecord(
+                        **{**c, "worked": [tuple(w) for w in c["worked"]], "points": OutputPoints(**c["points"])}
+                    )
+                    seen = last[c["city_id"]] = (c, built)
+                cities.append(seen[1])
+            if turns:
+                cities = _shared_cities(cities, turns[-1].cities)
             targets = [(sid, tuple(t)) for sid, t in rec["targets"]]
             turns.append(TurnRecord(rec["turn"], cities, targets, [FoundingRecord(**f) for f in rec["foundings"]]))
         if footer["turns"] != len(turns):

@@ -346,7 +346,7 @@ def test_persist_refuses_a_directory_that_is_not_a_run(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
 
-@pytest.mark.parametrize("arm", ["kb", "nn"])
+@pytest.mark.parametrize("arm", ["kb", "nn", "random"])
 def test_decision_logs_round_trip(tmp_path, arm, tiny_nn):
     nn = game_map = None
     if arm == "nn":
@@ -356,10 +356,27 @@ def test_decision_logs_round_trip(tmp_path, arm, tiny_nn):
     foundings = [f for log in result.logs for f in log.foundings()]
     assert foundings and all(f.features for f in foundings)
     assert all(f.trace for f in foundings) == (arm == "kb")
+    shared = 0
     for i, log in enumerate(result.logs):
         path = tmp_path / f"episode_{i}.jsonl"
         engine.write_episode_log(log, path)
-        assert engine.read_episode_log(path) == log
+        loaded = engine.read_episode_log(path)
+        assert loaded == log
+        lines = path.read_text().splitlines()
+        # each line, shared city records spliced in, is the turn's json.dumps
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+        # a city record whose text repeats from the turn before is that turn's object
+        previous = {}
+        for line, turn in zip(lines[1:-1], loaded.turns):
+            texts = [json.dumps(c, sort_keys=True) for c in json.loads(line)["cities"]]
+            for text, record in zip(texts, turn.cities):
+                if text in previous:
+                    assert record is previous[text]
+                    shared += 1
+            previous = dict(zip(texts, turn.cities))
+        engine.write_episode_log(loaded, tmp_path / "rewritten.jsonl")
+        assert (tmp_path / "rewritten.jsonl").read_bytes() == path.read_bytes()
+    assert shared
 
 
 def test_run_dir_rejects_a_missing_log(tmp_path):
@@ -451,6 +468,36 @@ def test_a_log_or_run_dir_naming_other_fixed_rules_is_refused(tmp_path, key, cha
 DATASET_HEADER = ",".join([*features.COLUMNS, "label"])
 
 
+def edited_random_log(edit):
+    """A writer of a 30-turn random-agent log whose turn records, parsed,
+    were passed through `edit`."""
+
+    def write(path):
+        log = engine.run_episode(SettlementAgent(RandomEvaluator(3)), GAME, 3, evaluator_name="random")
+        engine.write_episode_log(log, path)
+        header, *turns, footer = path.read_text().splitlines()
+        turns = [json.loads(t) for t in turns]
+        edit(turns)
+        path.write_text("\n".join([header, *map(json.dumps, turns), footer]) + "\n")
+
+    return write
+
+
+def swap_the_first_two_turn_numbers(turns):
+    turns[0]["turn"], turns[1]["turn"] = turns[1]["turn"], turns[0]["turn"]
+
+
+def add_a_key_to_a_repeated_city_record(turns):
+    """The first city record equal to its record on the turn before gains
+    a key: valid on that turn, unknown on this one."""
+    for before, after in zip(turns, turns[1:]):
+        for city in after["cities"]:
+            if city in before["cities"]:
+                city["unknown"] = 0
+                return
+    raise AssertionError("no city record repeats")
+
+
 @pytest.mark.parametrize(
     "reader, content",
     [
@@ -467,6 +514,10 @@ DATASET_HEADER = ",".join([*features.COLUMNS, "label"])
         (engine.read_episode_log, '{"kind": "header"}\n{"kind": "footer", "turns": 0}\n'),
         (engine.read_episode_log, "not json\n"),
         (engine.read_episode_log, '{"kind": "header"}\n{"kind": "footer"}\n'),
+        pytest.param(engine.read_episode_log, edited_random_log(swap_the_first_two_turn_numbers),
+                     id="read_episode_log-turns-out-of-order"),
+        pytest.param(engine.read_episode_log, edited_random_log(add_a_key_to_a_repeated_city_record),
+                     id="read_episode_log-unknown-key-on-a-later-turn"),
         (read_metrics_csv, "episode,tgo,running_avg\n0,5\n"),
         (read_metrics_csv, "episode,tgo,running_avg\n1,5,5.0\n"),
         (read_metrics_csv, "episode,tgo,running_avg\n0,five,5.0\n"),
@@ -481,7 +532,10 @@ DATASET_HEADER = ",".join([*features.COLUMNS, "label"])
 )
 def test_readers_refuse_bad_input_naming_the_file(tmp_path, reader, content):
     path = tmp_path / "input.txt"
-    path.write_text(content)
+    if callable(content):
+        content(path)
+    else:
+        path.write_text(content)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         reader(path)
 

@@ -67,6 +67,15 @@ def check_invariants(state, journal) -> None:
         assert player.output == journaled_output(journal, player.player_id)
         # the mask `found_city` keeps equals README's rule, site by site
         assert engine.legal_founding_sites(state, player.player_id) == reference_legal_sites(state, player.player_id)
+    # a city's turn record is the turn before's object exactly when its
+    # head count, worked tiles and points are unchanged
+    if len(journal) > 1:
+        before = {cr.city_id: cr for cr in journal[-2].cities}
+        for cr in journal[-1].cities:
+            if cr.city_id in before:
+                prev = before[cr.city_id]
+                unchanged = (cr.citizens, cr.worked, cr.points) == (prev.citizens, prev.worked, prev.points)
+                assert (cr is prev) == unchanged, f"city {cr.city_id}"
 
 
 @settings(max_examples=30, deadline=None)
