@@ -503,8 +503,8 @@ def _city_phase(state: GameState) -> None:
 
     Each city's output is journaled as one frozen `CityTurnRecord`, and the
     same record object stands for the city on every later turn until its
-    head count, worked tiles or points change. Logs are written from the
-    records' values, so their bytes do not depend on the sharing.
+    head count, worked tiles or points change. Logs hold no city records:
+    reading a log replays its decisions, journal on, and so shares them too.
     """
     cities = sorted(state.all_cities(), key=lambda c: c.id)
 
@@ -681,48 +681,47 @@ def run_episode(
     every episode on it shares its cluster table and its encoded text.
     """
     episode_map = game_map if game_map is not None else generate_map(mapgen or MapGenConfig(), seed)
-    map_text = encode_map(episode_map)
-    state = new_game(episode_map, config)
+    turns, tgo = _journaled_game(episode_map, config, player_id, agent, on_turn)
+    return EpisodeLog(seed=seed, map_text=encode_map(episode_map), config=config, evaluator=evaluator_name,
+                      player=player_id, turns=turns, final_tgo=tgo)
+
+
+def _journaled_game(game_map: GameMap, config: GameConfig, player_id: int, agent, on_turn=None):
+    """(turn records, final TGO) of one game played journal on. A turn on
+    which no city record changed shares the turn before's list."""
+    state = new_game(game_map, config)
     place_initial_settlers(state, player_id)
-    turns = []
+    turns: list[TurnRecord] = []
     while not state.finished:
         record = step_turn(state, agent)
-        if turns:
-            record.cities = _shared_cities(record.cities, turns[-1].cities)
+        if turns and len(record.cities) == len(turns[-1].cities):
+            if all(map(operator.is_, record.cities, turns[-1].cities)):
+                record.cities = turns[-1].cities
         turns.append(record)
         if on_turn is not None:
             on_turn(state)
-    return EpisodeLog(
-        seed=seed,
-        map_text=map_text,
-        config=config,
-        evaluator=evaluator_name,
-        player=player_id,
-        turns=turns,
-        final_tgo=state.player(player_id).output,
-    )
-
-
-def _shared_cities(cities: list[CityTurnRecord], previous: list[CityTurnRecord]) -> list[CityTurnRecord]:
-    """`previous` when it holds the very records of `cities`: a turn on
-    which no city changed shares the turn before's list."""
-    if len(cities) == len(previous) and all(map(operator.is_, cities, previous)):
-        return previous
-    return cities
+    return turns, state.player(player_id).output
 
 
 class ReplayAgent:
-    """Re-applies the logged settler target assignments turn by turn."""
+    """Re-applies the logged settler target assignments turn by turn;
+    ValueError for a target that names no settler on the board or is not
+    two int coordinates."""
 
     def __init__(self, log: EpisodeLog):
         self._by_turn = {tr.turn: tr.targets for tr in log.turns}
 
     def act(self, state: GameState) -> None:
-        for settler_id, target in self._by_turn.get(state.turn, []):
-            for player in state.players:
-                for settler in player.settlers:
-                    if settler.id == settler_id:
-                        set_settler_target(state, settler, tuple(target))
+        targets = self._by_turn.get(state.turn)
+        if not targets:
+            return
+        settlers = {s.id: s for p in state.players for s in p.settlers}
+        for settler_id, target in targets:
+            if settler_id not in settlers:
+                raise ValueError(f"turn {state.turn}: a target for settler {settler_id!r}, not on the board")
+            if len(target) != 2 or not all(type(c) is int for c in target):
+                raise ValueError(f"turn {state.turn}: settler {settler_id}'s target {target!r} is not two ints")
+            set_settler_target(state, settlers[settler_id], tuple(target))
 
 
 @functools.lru_cache(maxsize=1)
@@ -746,114 +745,47 @@ def replay_episode(log: EpisodeLog) -> int:
     return state.player(log.player).output
 
 
-# -- config / log (de)serialization -----------------------------------------
+# -- log (de)serialization --------------------------------------------------
 
 
-def _triple(y: YieldTriple) -> list[int]:
-    return [y.food, y.production, y.trade]
-
-
-def _fixed_rules() -> dict:
-    """The fixed rules as every log and config.json has always held them,
-    built afresh: cheaper than a deep copy, and no caller shares a list.
-    A game starts at default_start_position, and 20 candidate tiles cap a
-    city at 21."""
-    return {
-        "trade_split": list(TRADE_SPLIT),
-        "growth_threshold_base": GROWTH_THRESHOLD_BASE,
-        "food_per_citizen": FOOD_PER_CITIZEN,
-        "settler_production_cost": SETTLER_PRODUCTION_COST,
-        "settler_population_cost": SETTLER_POPULATION_COST,
-        "start_position": None,
-        "max_city_size": 21,
-        "ruleset": {
-            "terrain_yields": {k.value: _triple(y) for k, y in TERRAIN_YIELDS.items()},
-            "special_bonuses": {k.value: _triple(y) for k, y in SPECIAL_BONUSES.items()},
-            "river_trade_bonus": RIVER_TRADE_BONUS,
-            "center_bonus": _triple(CENTER_BONUS),
-        },
-    }
-
-
-_FIXED_RULES = _fixed_rules()
-
-
-def config_to_dict(config: GameConfig) -> dict:
-    """JSON-ready fields and a fresh copy of the fixed rules."""
-    return {**vars(config), **_fixed_rules()}
-
-
-def config_from_dict(d: dict) -> GameConfig:
-    """Inverse of config_to_dict; refuses a dict that lacks any fixed rule
-    or names one other than the engine's."""
-    if {k: d[k] for k in _FIXED_RULES if k in d} != _FIXED_RULES:
-        raise ValueError("config names game rules other than the engine's fixed ones")
-    return GameConfig(**{k: v for k, v in d.items() if k not in _FIXED_RULES})
-
-
+# the format number every header carries: logs of decisions only
+LOG_FORMAT = 2
 # json.dumps(obj, sort_keys=True) without building a new encoder per record
 _encode_record = json.JSONEncoder(sort_keys=True).encode
-_POINTS_FIELDS = tuple(f.name for f in dataclasses.fields(OutputPoints))
-_FOUNDING_FIELDS = tuple(f.name for f in dataclasses.fields(FoundingRecord))
-
-
-def _encode_city(cr: CityTurnRecord) -> str:
-    return _encode_record(
-        {
-            "city_id": cr.city_id,
-            "player": cr.player,
-            "x": cr.x,
-            "y": cr.y,
-            "citizens": cr.citizens,
-            "worked": cr.worked,
-            "points": {name: getattr(cr.points, name) for name in _POINTS_FIELDS},
-        }
-    )
 
 
 def write_episode_log(log: EpisodeLog, path) -> None:
-    """One JSON record per line: header, one record per turn, footer.
-
-    Records are built straight from the fields (tuples encode as arrays):
-    nothing is copied for the encoder, and no record's `__dict__` is made.
-    A city record shared by several turns is encoded once, and its text
-    spliced into each turn line; "cities" sorts first among a turn's keys,
-    so every line is the `json.dumps(sort_keys=True)` of the whole turn.
-    """
+    """One `json.dumps(sort_keys=True)` record per line: header, each
+    turn's decisions (targets and founding records) and a footer. City
+    records are not written: reading the log rebuilds them by replay."""
     header = {
         "kind": "header",
+        "format": LOG_FORMAT,
         "seed": log.seed,
         "map": log.map_text,
         "evaluator": log.evaluator,
         "player": log.player,
-        "config": config_to_dict(log.config),
+        "config": dataclasses.asdict(log.config),
     }
     lines = [_encode_record(header)]
-    # by id: every record stays alive in `log` while the call runs
-    city_texts: dict[int, str] = {}
     for tr in log.turns:
-        cities = []
-        for cr in tr.cities:
-            text = city_texts.get(id(cr))
-            if text is None:
-                text = city_texts[id(cr)] = _encode_city(cr)
-            cities.append(text)
-        rest = _encode_record(
-            {
-                "kind": "turn",
-                "turn": tr.turn,
-                "targets": tr.targets,
-                "foundings": [{name: getattr(f, name) for name in _FOUNDING_FIELDS} for f in tr.foundings],
-            }
-        )
-        lines.append(f'{{"cities": [{", ".join(cities)}], {rest[1:]}')
+        # tuples encode as arrays, and a founding record's fields are its vars
+        foundings = list(map(vars, tr.foundings))
+        lines.append(_encode_record({"kind": "turn", "turn": tr.turn, "targets": tr.targets, "foundings": foundings}))
     lines.append(_encode_record({"kind": "footer", "final_tgo": log.final_tgo, "turns": len(log.turns)}))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _founded(foundings: list[FoundingRecord]) -> list[tuple]:
+    return [(f.turn, f.player, f.city_id, f.x, f.y) for f in foundings]
+
+
 def read_episode_log(path) -> EpisodeLog:
-    """The log at `path`; ValueError naming the file for any malformed one."""
+    """The log at `path`, its turn records rebuilt by replaying its targets
+    with the journal on, beside its founding records. ValueError naming the
+    file for a malformed log, and for one whose replay founds other cities
+    or ends on another TGO than it records."""
     with open(path) as fh:
         lines = [line for line in fh if line.strip()]
 
@@ -868,40 +800,43 @@ def read_episode_log(path) -> EpisodeLog:
         footer = record(lines[-1]) if lines else {}
         if header.get("kind") != "header" or footer.get("kind") != "footer":
             raise ValueError("not a complete episode log")
-        turns = []
-        # per city id, the last city dict read and the record built from it:
-        # an equal dict on a later turn shares that record
-        last: dict = {}
-        # decoded one line at a time, so only the built records outlive the loop
+        if header.get("format") != LOG_FORMAT:
+            raise ValueError(f"log format {header.get('format')!r}, not {LOG_FORMAT}")
+        logged = []
         for rec in map(record, lines[1:-1]):
             if rec.get("kind") != "turn":
                 raise ValueError(f"unexpected record kind {rec.get('kind')!r}")
-            if rec["turn"] != len(turns) + 1:
-                raise ValueError(f"turn record {len(turns) + 1} is numbered {rec['turn']!r}")
-            cities = []
-            for c in rec["cities"]:
-                seen = last.get(c["city_id"])
-                if seen is None or seen[0] != c:
-                    built = CityTurnRecord(
-                        **{**c, "worked": [tuple(w) for w in c["worked"]], "points": OutputPoints(**c["points"])}
-                    )
-                    seen = last[c["city_id"]] = (c, built)
-                cities.append(seen[1])
-            if turns:
-                cities = _shared_cities(cities, turns[-1].cities)
+            if rec["turn"] != len(logged) + 1:
+                raise ValueError(f"turn record {len(logged) + 1} is numbered {rec['turn']!r}")
             targets = [(sid, tuple(t)) for sid, t in rec["targets"]]
-            turns.append(TurnRecord(rec["turn"], cities, targets, [FoundingRecord(**f) for f in rec["foundings"]]))
-        if footer["turns"] != len(turns):
-            raise ValueError(f"footer reports {footer['turns']} turns, found {len(turns)}")
-        return EpisodeLog(
+            foundings = [FoundingRecord(**f) for f in rec["foundings"]]
+            logged.append(TurnRecord(rec["turn"], targets=targets, foundings=foundings))
+        if footer["turns"] != len(logged):
+            raise ValueError(f"footer reports {footer['turns']} turns, found {len(logged)}")
+        log = EpisodeLog(
             seed=header["seed"],
             map_text=header["map"],
-            config=config_from_dict(header["config"]),
+            config=GameConfig(**header["config"]),
             evaluator=header["evaluator"],
             player=header["player"],
-            turns=turns,
+            turns=logged,
             final_tgo=footer["final_tgo"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        # a game lasts turn_limit turns; checked first, so no replay runs long
+        if log.config.turn_limit != len(logged):
+            raise ValueError(f"config turn_limit {log.config.turn_limit}, but {len(logged)} turn records")
+        log.turns, tgo = _journaled_game(log.decoded_map(), log.config, log.player, ReplayAgent(log))
+        for played, decided in zip(log.turns, logged):
+            if _founded(played.foundings) != _founded(decided.foundings):
+                raise ValueError(
+                    f"turn {played.turn}: the replay founds (turn, player, city id, x, y)"
+                    f" {_founded(played.foundings)}, the log records {_founded(decided.foundings)}"
+                )
+            # the logged records carry the decision: score, features, trace
+            played.foundings = decided.foundings
+        if tgo != log.final_tgo:
+            raise ValueError(f"the replay ends on TGO {tgo}, the footer records {log.final_tgo}")
+        return log
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: {reason}") from None

@@ -479,7 +479,8 @@ def persist_experiment(result: ExperimentResult, out_dir: str, game_map: GameMap
 def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], ExperimentConfig]:
     """(metrics, logs, config) of a persisted run; ValueError unless the run
     has its configured number of episodes, every metrics row has its episode
-    log with the same final TGO, and each running average is the mean so far."""
+    log with the same final TGO, each running average is the mean so far,
+    and log i holds the run's seed i, evaluator, game config and map.txt."""
     config_path = os.path.join(path, "config.json")
     with open(config_path) as fh:
         try:
@@ -489,17 +490,22 @@ def load_run_dir(path: str) -> tuple[RunMetrics, list[EpisodeLog], ExperimentCon
     metrics_path = os.path.join(path, "metrics.csv")
     metrics = read_metrics_csv(metrics_path, window=config.window())
     log_dir = os.path.join(path, "logs")
-    logs = [
-        engine.read_episode_log(os.path.join(log_dir, name))
-        for name in sorted(os.listdir(log_dir))
-        if name.endswith(".jsonl")
-    ]
+    log_paths = [os.path.join(log_dir, name) for name in sorted(os.listdir(log_dir)) if name.endswith(".jsonl")]
+    logs = [engine.read_episode_log(log_path) for log_path in log_paths]
     if not len(logs) == len(metrics.tgo) == config.episodes:
         raise ValueError(f"{path}: {len(logs)} episode logs but {len(metrics.tgo)} metrics rows,"
                          f" for {config.episodes} episodes")
-    for i, (log, tgo) in enumerate(zip(logs, metrics.tgo)):
+    run = {"evaluator": config.evaluator, "config": config.game}
+    map_path = os.path.join(path, "map.txt")
+    if os.path.exists(map_path):
+        with open(map_path) as fh:
+            run["map_text"] = fh.read()
+    for i, (log_path, log, tgo) in enumerate(zip(log_paths, logs, metrics.tgo)):
         if log.final_tgo != tgo:
             raise ValueError(f"{path}: episode {i} log has final_tgo {log.final_tgo}, metrics row {tgo}")
+        for name, value in {"seed": episode_seed(config.base_seed, i), **run}.items():
+            if getattr(log, name) != value:
+                raise ValueError(f"{log_path}: its {name} is not the run's")
     recomputed = RunMetrics()
     for i, (tgo, avg) in enumerate(zip(metrics.tgo, metrics.running_avg)):
         recomputed.record(tgo)
@@ -709,7 +715,7 @@ def run_comparison(
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    return {**dataclasses.asdict(config), "game": engine.config_to_dict(config.game)}
+    return dataclasses.asdict(config)
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
@@ -718,7 +724,7 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         **{
             **d,
-            "game": engine.config_from_dict(d["game"]),
+            "game": GameConfig(**d["game"]),
             "mapgen": MapGenConfig(**mapgen),
             "rl": RlConfig(**d["rl"]),
         }

@@ -12,12 +12,19 @@ other difference is a regression. The runs include floating-point k-means
 fitting, MLP training and prediction, so the digests hold for one numpy
 and BLAS build.
 
+The decoded turn records of both runs (every city record, target and
+founding, as `engine.read_episode_log` returns them) are pinned apart
+from the log bytes, so a change of log format that keeps the games the
+same re-records only the log digests.
+
 The map generator and the per-map facts are pinned over many seeds too:
 the text of the default-config maps of seeds 0-199, and those maps'
 cluster tables and tile yields.
 """
 
+import dataclasses
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -32,25 +39,27 @@ GAME = engine.GameConfig(turn_limit=40)
 
 MAP_DIGEST = "df4007ecbdf5fc52b8f3748975d9022b22e10a422cd961af72c60fb6b558b97b"
 KB_DIGESTS = {
-    "config.json": "44a76c4f23c5a2480d1e4d14fa3015e45da95e1ffd8156079ce0a7a0689716bd",
-    "logs/episode_00000.jsonl": "7b5d9d16280f1187d8052d09994b449fa821c56cc614cdaff84bef3e90f73051",
-    "logs/episode_00001.jsonl": "fdd821fa628d27e5155b33c37dc68c49890e610d434df883fdbb9c0cae5c13da",
-    "logs/episode_00002.jsonl": "f39af79b7b8c958367f99f9526e1b9f6ce75d71f9034b0e9874222afef092341",
-    "logs/episode_00003.jsonl": "499f130912189795325aef70edeb4c2dca43aaa349f5d930a87ea44183cb6ecc",
+    "config.json": "d23977d3f8c82b2e47e96c9b3a0647447c7d5f466cab4f5043e427b3b1d4be8c",
+    "logs/episode_00000.jsonl": "a0b4457d90af4a01d075d6be083490fdd642ccc6f967c26ba627aa0dd3899ce2",
+    "logs/episode_00001.jsonl": "b4aea3784aa1db29738b9b534fe4dd3abd6b1b643c1563a19f94f52be042047d",
+    "logs/episode_00002.jsonl": "cc0e017aa6ccb9c55eaceff9ab5656ee1ade2723b76e050b9308cc1338b6da39",
+    "logs/episode_00003.jsonl": "46e897acd167e3e16d1d89dbf590a27de1a4d6351fd83800a28af4e7aaba0212",
     "map.txt": MAP_DIGEST,
     "metrics.csv": "5d59d2f82cd23f891ddbd25bf3eed5379617a686538da6df190c2c03a4fc4277",
     "value_table.txt": "a579816872f738339b20fe68d01aff0e8ec7a39d994b5a9b2223015964591750",
 }
 CLUSTER_MODEL_DIGEST = "991a3012c88e00e1561b0911b36dfee21c23212eae79a190318a970c6d1d924f"
 MODEL_DIGEST = "24a692fee59860106708998c0ef015aacbe3e9d3709fee30810333b84bf558e5"
+KB_TURNS_DIGEST = "bc396cca416b728b0fee14021f8c930ab950c5c82505943e4717568e66e4af66"
+NN_TURNS_DIGEST = "77627722e4c68f3ba7e3bb77b8ebca32fa8b62606bd4f148dc6fbd4066113cfa"
 MAPS_SEEDS = range(200)
 MAPS_DIGEST = "f9654e6ffe57a5a23f0bad5b5b1693bde6475ff5ebe7863d93b5c7e5890c21db"
 MAP_FACTS_DIGEST = "ad9d93a85a8d80ccaee928d41dedf57f94382e47f0a3f42339ab751058ef8b32"
 NN_DIGESTS = {
-    "config.json": "10580268b42d76e278e6dabdf4fd4e13b24ba396252a5b67eaea6a2ae62eff48",
-    "logs/episode_00000.jsonl": "882cf9e00e34b3e0bdf75f79903815b46c4fe2fecb2ad9f7236301b4fbecc494",
-    "logs/episode_00001.jsonl": "6aab8d0ade5505322eef9623789439e98d019058d36cf371dfae1db02fc05c29",
-    "logs/episode_00002.jsonl": "d87fb03c2bc1012f0393d92c937735397e35ccf0c97a817cf8f1d738b4052935",
+    "config.json": "3f12dbb196608084f3f91c06453f3da8a3877180f4a7c61da1aafa3815b65e44",
+    "logs/episode_00000.jsonl": "1903ad5233e76f43efe14c56e495fb952960092c1c3dd214c3b5f44751ceb370",
+    "logs/episode_00001.jsonl": "a174e25a53affa1198d69f15dab6c920bfebc5dd4bc4ad99db5e0d47f9753445",
+    "logs/episode_00002.jsonl": "4b1b5cb1c6e216c7e066b9b4e328d8a1242390de8a16e73ac067fa618e4a1cee",
     "map.txt": MAP_DIGEST,
     "metrics.csv": "49b62684088efb0d8dc4d75021b9499f01aa6f2137581ee72647daeb09c06bca",
 }
@@ -115,13 +124,36 @@ def model_digest(model, report) -> str:
     return h.hexdigest()
 
 
-def test_nn_run_is_byte_identical(tmp_path, seed_map):
+@pytest.fixture(scope="module")
+def nn_run(tmp_path_factory, seed_map):
+    out_dir = tmp_path_factory.mktemp("nn")
     corpus, _ = harness.bootstrap_corpus(GAME, MapGenConfig(), SEED, episodes=20, game_map=seed_map)
     model, norm, report = harness.train_nn_from_logs(corpus, mlp.MlpConfig(epochs=15, batch_size=8), folds=2)
-    assert model_digest(model, report) == MODEL_DIGEST
     config = ExperimentConfig(evaluator="nn", episodes=3, base_seed=SEED, game=GAME)
-    run_experiment(config, game_map=seed_map, nn=(model, norm), out_dir=str(tmp_path))
-    assert run_digests(tmp_path) == NN_DIGESTS
+    run_experiment(config, game_map=seed_map, nn=(model, norm), out_dir=str(out_dir))
+    return model, report, out_dir
+
+
+def test_nn_run_is_byte_identical(nn_run):
+    model, report, out_dir = nn_run
+    assert model_digest(model, report) == MODEL_DIGEST
+    assert run_digests(out_dir) == NN_DIGESTS
+
+
+def turn_records_digest(out_dir) -> str:
+    """sha256 over every decoded turn record of the run's logs, in log and
+    turn order, each as the sorted-key JSON of its fields."""
+    h = hashlib.sha256()
+    log_dir = os.path.join(out_dir, "logs")
+    for name in sorted(os.listdir(log_dir)):
+        for turn in engine.read_episode_log(os.path.join(log_dir, name)).turns:
+            h.update(json.dumps(dataclasses.asdict(turn), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_decoded_turn_records_are_identical(kb_run, nn_run):
+    assert turn_records_digest(kb_run[1]) == KB_TURNS_DIGEST
+    assert turn_records_digest(nn_run[2]) == NN_TURNS_DIGEST
 
 
 @pytest.fixture(scope="module")

@@ -208,7 +208,9 @@ def test_experiment_config_round_trips_exactly():
         assert experiment_config_from_dict(json.loads(json.dumps(d))) == source
 
 
-@pytest.mark.parametrize("section, key", [("rl", "epsilon_decay"), (None, "nn_retrain_interval")])
+@pytest.mark.parametrize(
+    "section, key", [("rl", "epsilon_decay"), (None, "nn_retrain_interval"), ("game", "ruleset")]
+)
 def test_config_naming_a_removed_field_is_refused(section, key):
     d = experiment_config_to_dict(ExperimentConfig())
     (d[section] if section else d)[key] = 0
@@ -362,18 +364,15 @@ def test_decision_logs_round_trip(tmp_path, arm, tiny_nn):
         engine.write_episode_log(log, path)
         loaded = engine.read_episode_log(path)
         assert loaded == log
-        lines = path.read_text().splitlines()
-        # each line, shared city records spliced in, is the turn's json.dumps
-        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
-        # a city record whose text repeats from the turn before is that turn's object
-        previous = {}
-        for line, turn in zip(lines[1:-1], loaded.turns):
-            texts = [json.dumps(c, sort_keys=True) for c in json.loads(line)["cities"]]
-            for text, record in zip(texts, turn.cities):
-                if text in previous:
-                    assert record is previous[text]
-                    shared += 1
-            previous = dict(zip(texts, turn.cities))
+        header, *turns = map(json.loads, path.read_text().splitlines())
+        assert header["format"] == 2
+        # a turn line holds the decisions; the reader replays them for the rest
+        assert all(turn.keys() == {"kind", "turn", "targets", "foundings"} for turn in turns[:-1])
+        # a loaded turn on which no city record changed holds the turn before's list
+        for before, turn in zip(loaded.turns, loaded.turns[1:]):
+            if turn.cities == before.cities:
+                assert turn.cities is before.cities
+                shared += 1
         engine.write_episode_log(loaded, tmp_path / "rewritten.jsonl")
         assert (tmp_path / "rewritten.jsonl").read_bytes() == path.read_bytes()
     assert shared
@@ -417,85 +416,84 @@ def test_run_dir_with_an_edited_running_average_is_refused(tmp_path):
         load_run_dir(str(run))
 
 
-def test_a_run_dir_naming_other_rules_is_refused(tmp_path):
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("seed", lambda header: header.__setitem__("seed", header["seed"] + 1)),
+        ("evaluator", lambda header: header.__setitem__("evaluator", "nn")),
+        # no game of this run comes near so many cities, so the replay still agrees
+        ("config", lambda header: header["config"].__setitem__("max_cities", 99)),
+        # the seed in the map's first line: the same tiles, another map text
+        ("map_text", lambda header: header.__setitem__("map", header["map"].replace(" 5\n", " 6\n", 1))),
+    ],
+)
+def test_a_log_whose_header_is_not_its_runs_is_refused(tmp_path, field, edit):
     run = tmp_path / "run"
-    run_experiment(small_experiment(evaluator="random", episodes=1), out_dir=str(run))
-    config = json.loads((run / "config.json").read_text())
-    config["game"]["ruleset"]["special_bonuses"]["Wheat"] = [5, 0, 0]
-    (run / "config.json").write_text(json.dumps(config))
-    with pytest.raises(ValueError, match="config names game rules other than the engine's fixed ones"):
-        load_run_dir(str(run))
-
-
-# the values these keys had as settings, now fixed; each paired with another value
-OTHER_FIXED_VALUES = {
-    "trade_split": [0.25, 0.25, 0.5],
-    "growth_threshold_base": 7,
-    "food_per_citizen": 1,
-    "settler_production_cost": 20,
-    "settler_population_cost": 2,
-    "start_position": [6, 7],
-    "max_city_size": 8,
-}
-
-
-@pytest.mark.parametrize("key", OTHER_FIXED_VALUES)
-@pytest.mark.parametrize("change", ["differs", "missing"])
-def test_a_log_or_run_dir_naming_other_fixed_rules_is_refused(tmp_path, key, change):
-    def edit(game: dict) -> None:
-        if change == "missing":
-            del game[key]
-        else:
-            game[key] = OTHER_FIXED_VALUES[key]
-
-    run = tmp_path / "run"
-    run_experiment(small_experiment(evaluator="random", episodes=1), out_dir=str(run))
-    log_path = run / "logs" / "episode_00000.jsonl"
+    run_experiment(small_experiment(evaluator="random", episodes=3), out_dir=str(run))
+    log_path = run / "logs" / "episode_00001.jsonl"
     header, *rest = log_path.read_text().splitlines()
     header = json.loads(header)
-    edit(header["config"])
-    log_path.write_text("\n".join([json.dumps(header), *rest]) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{log_path}: config names game rules other than")):
-        engine.read_episode_log(log_path)
-
-    config = json.loads((run / "config.json").read_text())
-    edit(config["game"])
-    (run / "config.json").write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=re.escape(f"{run / 'config.json'}: config names game rules other than")):
+    edit(header)
+    log_path.write_text("\n".join([json.dumps(header, sort_keys=True), *rest]) + "\n")
+    engine.read_episode_log(log_path)  # a log that replays as it records
+    with pytest.raises(ValueError, match=re.escape(f"{log_path}: its {field} is not the run's")):
         load_run_dir(str(run))
 
 
 DATASET_HEADER = ",".join([*features.COLUMNS, "label"])
 
 
-def edited_random_log(edit):
-    """A writer of a 30-turn random-agent log whose turn records, parsed,
-    were passed through `edit`."""
+def edited_random_log(edit, reason: str):
+    """A writer of a 30-turn random-agent log whose records (header, turns,
+    footer), parsed, were passed through `edit`; it returns `reason`, the
+    start of the refusal that must follow the file name."""
 
     def write(path):
         log = engine.run_episode(SettlementAgent(RandomEvaluator(3)), GAME, 3, evaluator_name="random")
         engine.write_episode_log(log, path)
-        header, *turns, footer = path.read_text().splitlines()
-        turns = [json.loads(t) for t in turns]
-        edit(turns)
-        path.write_text("\n".join([header, *map(json.dumps, turns), footer]) + "\n")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(records)
+        path.write_text("\n".join(map(json.dumps, records)) + "\n")
+        return reason
 
     return write
 
 
-def swap_the_first_two_turn_numbers(turns):
-    turns[0]["turn"], turns[1]["turn"] = turns[1]["turn"], turns[0]["turn"]
+def swap_the_first_two_turn_numbers(records):
+    records[1]["turn"], records[2]["turn"] = records[2]["turn"], records[1]["turn"]
 
 
-def add_a_key_to_a_repeated_city_record(turns):
-    """The first city record equal to its record on the turn before gains
-    a key: valid on that turn, unknown on this one."""
-    for before, after in zip(turns, turns[1:]):
-        for city in after["cities"]:
-            if city in before["cities"]:
-                city["unknown"] = 0
-                return
-    raise AssertionError("no city record repeats")
+def first_target(records) -> list:
+    """The first logged target, as [settler id, [x, y]]."""
+    return next(turn["targets"][0] for turn in records[1:-1] if turn["targets"])
+
+
+def move_the_first_target_one_tile(records):
+    first_target(records)[1][0] += 1
+
+
+def drop_the_first_founding(records):
+    next(turn for turn in records[1:-1] if turn["foundings"])["foundings"].pop(0)
+
+
+def add_one_to_the_footer_tgo(records):
+    records[-1]["final_tgo"] += 1
+
+
+def drop_the_format(records):
+    del records[0]["format"]
+
+
+def target_a_settler_not_on_the_board(records):
+    records[1]["targets"].append([99, [3, 3]])
+
+
+def give_the_first_target_float_coordinates(records):
+    first_target(records)[1][0] += 0.5
+
+
+def refused_edit(edit, reason: str, name: str):
+    return pytest.param(engine.read_episode_log, edited_random_log(edit, reason), id=f"read_episode_log-{name}")
 
 
 @pytest.mark.parametrize(
@@ -514,10 +512,17 @@ def add_a_key_to_a_repeated_city_record(turns):
         (engine.read_episode_log, '{"kind": "header"}\n{"kind": "footer", "turns": 0}\n'),
         (engine.read_episode_log, "not json\n"),
         (engine.read_episode_log, '{"kind": "header"}\n{"kind": "footer"}\n'),
-        pytest.param(engine.read_episode_log, edited_random_log(swap_the_first_two_turn_numbers),
-                     id="read_episode_log-turns-out-of-order"),
-        pytest.param(engine.read_episode_log, edited_random_log(add_a_key_to_a_repeated_city_record),
-                     id="read_episode_log-unknown-key-on-a-later-turn"),
+        refused_edit(swap_the_first_two_turn_numbers, "turn record 1 is numbered 2", "turns-out-of-order"),
+        refused_edit(move_the_first_target_one_tile, "turn 6: the replay founds (turn, player, city id, x, y) [],"
+                     " the log records [(6, 0, 0, 15, 14)]", "moved-target"),
+        refused_edit(drop_the_first_founding, "turn 6: the replay founds (turn, player, city id, x, y)"
+                     " [(6, 0, 0, 15, 14)], the log records []", "dropped-founding"),
+        refused_edit(add_one_to_the_footer_tgo, "the replay ends on TGO", "footer-tgo-off-by-one"),
+        refused_edit(drop_the_format, "log format None, not 2", "no-format"),
+        refused_edit(target_a_settler_not_on_the_board, "turn 1: a target for settler 99, not on the board",
+                     "ghost-settler"),
+        refused_edit(give_the_first_target_float_coordinates, "turn 1: settler 0's target (15.5, 14) is not two ints",
+                     "float-coordinates"),
         (read_metrics_csv, "episode,tgo,running_avg\n0,5\n"),
         (read_metrics_csv, "episode,tgo,running_avg\n1,5,5.0\n"),
         (read_metrics_csv, "episode,tgo,running_avg\n0,five,5.0\n"),
@@ -532,11 +537,12 @@ def add_a_key_to_a_repeated_city_record(turns):
 )
 def test_readers_refuse_bad_input_naming_the_file(tmp_path, reader, content):
     path = tmp_path / "input.txt"
+    reason = ""
     if callable(content):
-        content(path)
+        reason = content(path)
     else:
         path.write_text(content)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
         reader(path)
 
 
