@@ -472,8 +472,26 @@ def move_the_first_target_one_tile(records):
     first_target(records)[1][0] += 1
 
 
+def first_foundings(records) -> list:
+    """The founding records of the first turn that founds a city."""
+    return next(turn["foundings"] for turn in records[1:-1] if turn["foundings"])
+
+
 def drop_the_first_founding(records):
-    next(turn for turn in records[1:-1] if turn["foundings"])["foundings"].pop(0)
+    first_foundings(records).pop(0)
+
+
+def date_the_first_founding_a_turn_later(records):
+    first_foundings(records)[0]["turn"] += 1
+
+
+def add_a_key_to_the_first_founding(records):
+    first_foundings(records)[0]["unknown"] = 0
+
+
+def drop_the_last_turn(records):
+    del records[-2]
+    records[-1]["turns"] -= 1
 
 
 def add_one_to_the_footer_tgo(records):
@@ -482,6 +500,14 @@ def add_one_to_the_footer_tgo(records):
 
 def drop_the_format(records):
     del records[0]["format"]
+
+
+def name_a_fixed_rule_in_the_header(records):
+    records[0]["config"]["trade_split"] = [0.5, 0.0, 0.5]
+
+
+def name_a_second_player(records):
+    records[0]["player"] = 1
 
 
 def target_a_settler_not_on_the_board(records):
@@ -517,8 +543,16 @@ def refused_edit(edit, reason: str, name: str):
                      " the log records [(6, 0, 0, 15, 14)]", "moved-target"),
         refused_edit(drop_the_first_founding, "turn 6: the replay founds (turn, player, city id, x, y)"
                      " [(6, 0, 0, 15, 14)], the log records []", "dropped-founding"),
+        refused_edit(date_the_first_founding_a_turn_later, "turn 6: the replay founds (turn, player, city id, x, y)"
+                     " [(6, 0, 0, 15, 14)], the log records [(7, 0, 0, 15, 14)]", "founding-on-another-turn"),
+        refused_edit(add_a_key_to_the_first_founding, "FoundingRecord.__init__() got an unexpected keyword argument"
+                     " 'unknown'", "unknown-key-in-a-founding"),
+        refused_edit(drop_the_last_turn, "config turn_limit 30, but 29 turn records", "a-turn-short"),
         refused_edit(add_one_to_the_footer_tgo, "the replay ends on TGO", "footer-tgo-off-by-one"),
         refused_edit(drop_the_format, "log format None, not 2", "no-format"),
+        refused_edit(name_a_fixed_rule_in_the_header, "GameConfig.__init__() got an unexpected keyword argument"
+                     " 'trade_split'", "fixed-rule-in-header"),
+        refused_edit(name_a_second_player, "list index out of range", "player-not-in-the-game"),
         refused_edit(target_a_settler_not_on_the_board, "turn 1: a target for settler 99, not on the board",
                      "ghost-settler"),
         refused_edit(give_the_first_target_float_coordinates, "turn 1: settler 0's target (15.5, 14) is not two ints",

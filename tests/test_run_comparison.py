@@ -1,5 +1,9 @@
 """scripts/run_comparison.py end to end at tiny sizes: its `--out` directory
-holds what harness.run_comparison returns for the same sizes."""
+holds what harness.run_comparison returns for the same sizes, and its bytes
+do not depend on the process that wrote them: not on the str hash seed, not
+on the number of CPUs (cross-validation folds fit in forked children, one
+group per usable CPU), and logs read back in a fresh process write the same
+bytes."""
 
 import os
 import re
@@ -12,6 +16,21 @@ import pytest
 from settlebench import engine, features, harness, mlp
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_comparison.py")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+SMALL = ["--episodes", "4", "--bootstrap-episodes", "70", "--epochs", "3", "--turn-limit", "30"]
+# runs the script given as its first argument, pinned to one CPU by its own affinity mask
+ON_ONE_CPU = """import os, runpy, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+# rewrites every log of the directory given first into the one given second
+REWRITE_LOGS = """import os, sys
+from settlebench import engine
+src, dst = sys.argv[1:]
+for name in sorted(os.listdir(src)):
+    engine.write_episode_log(engine.read_episode_log(os.path.join(src, name)), os.path.join(dst, name))
+"""
 
 
 def test_script_writes_the_comparison_it_returns(tmp_path):
@@ -87,3 +106,57 @@ def test_bad_sizes_are_refused_before_the_corpus_is_played(monkeypatch, tmp_path
     assert played == []
     assert not out.exists()
 
+
+
+class SmallComparisons:
+    """Small comparisons, each written once by a fresh process."""
+
+    def __init__(self, root):
+        self.root = root
+        self.runs = {}
+
+    def out(self, hash_seed: int, one_cpu: bool):
+        key = (hash_seed, one_cpu)
+        if key not in self.runs:
+            out = self.root / f"hashseed-{hash_seed}-{'one' if one_cpu else 'all'}-cpus"
+            run_child([*(["-c", ON_ONE_CPU] if one_cpu else []), SCRIPT, "--out", str(out), *SMALL], hash_seed)
+            self.runs[key] = out
+        return self.runs[key]
+
+
+def run_child(args, hash_seed: int = 1) -> None:
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def files_of(root) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def assert_same_files(a, b) -> None:
+    a, b = files_of(a), files_of(b)
+    assert a.keys() == b.keys()
+    assert [name for name in a if a[name] != b[name]] == []
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    return SmallComparisons(tmp_path_factory.mktemp("small"))
+
+
+def test_a_small_comparison_writes_the_same_bytes_under_two_hash_seeds(small):
+    """str hashing is salted per process, so any set or dict order it decides shows here."""
+    assert_same_files(small.out(1, one_cpu=False), small.out(2, one_cpu=False))
+
+
+def test_a_small_comparison_writes_the_same_bytes_on_one_cpu_and_on_all(small):
+    """On one CPU every cross-validation fold is fitted in-process."""
+    assert_same_files(small.out(1, one_cpu=True), small.out(1, one_cpu=False))
+
+
+@pytest.mark.parametrize("arm", ["kb", "nn"])
+def test_logs_read_back_in_a_fresh_process_write_the_same_bytes(small, tmp_path, arm):
+    logs = small.out(1, one_cpu=False) / arm / "logs"
+    run_child(["-c", REWRITE_LOGS, str(logs), str(tmp_path)])
+    assert_same_files(logs, tmp_path)
