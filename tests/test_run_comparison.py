@@ -5,6 +5,7 @@ on the number of CPUs (cross-validation folds fit in forked children, one
 group per usable CPU), and logs read back in a fresh process write the same
 bytes."""
 
+import functools
 import os
 import re
 import subprocess
@@ -107,23 +108,6 @@ def test_bad_sizes_are_refused_before_the_corpus_is_played(monkeypatch, tmp_path
     assert not out.exists()
 
 
-
-class SmallComparisons:
-    """Small comparisons, each written once by a fresh process."""
-
-    def __init__(self, root):
-        self.root = root
-        self.runs = {}
-
-    def out(self, hash_seed: int, one_cpu: bool):
-        key = (hash_seed, one_cpu)
-        if key not in self.runs:
-            out = self.root / f"hashseed-{hash_seed}-{'one' if one_cpu else 'all'}-cpus"
-            run_child([*(["-c", ON_ONE_CPU] if one_cpu else []), SCRIPT, "--out", str(out), *SMALL], hash_seed)
-            self.runs[key] = out
-        return self.runs[key]
-
-
 def run_child(args, hash_seed: int = 1) -> None:
     env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
@@ -142,21 +126,31 @@ def assert_same_files(a, b) -> None:
 
 @pytest.fixture(scope="module")
 def small(tmp_path_factory):
-    return SmallComparisons(tmp_path_factory.mktemp("small"))
+    """small(hash_seed, one_cpu): the directory of a small comparison, each
+    written once by a fresh process."""
+    root = tmp_path_factory.mktemp("small")
+
+    @functools.cache
+    def out(hash_seed: int, one_cpu: bool):
+        path = root / f"hashseed-{hash_seed}-{'one' if one_cpu else 'all'}-cpus"
+        run_child([*(["-c", ON_ONE_CPU] if one_cpu else []), SCRIPT, "--out", str(path), *SMALL], hash_seed)
+        return path
+
+    return out
 
 
 def test_a_small_comparison_writes_the_same_bytes_under_two_hash_seeds(small):
     """str hashing is salted per process, so any set or dict order it decides shows here."""
-    assert_same_files(small.out(1, one_cpu=False), small.out(2, one_cpu=False))
+    assert_same_files(small(1, one_cpu=False), small(2, one_cpu=False))
 
 
 def test_a_small_comparison_writes_the_same_bytes_on_one_cpu_and_on_all(small):
     """On one CPU every cross-validation fold is fitted in-process."""
-    assert_same_files(small.out(1, one_cpu=True), small.out(1, one_cpu=False))
+    assert_same_files(small(1, one_cpu=True), small(1, one_cpu=False))
 
 
 @pytest.mark.parametrize("arm", ["kb", "nn"])
 def test_logs_read_back_in_a_fresh_process_write_the_same_bytes(small, tmp_path, arm):
-    logs = small.out(1, one_cpu=False) / arm / "logs"
+    logs = small(1, one_cpu=False) / arm / "logs"
     run_child(["-c", REWRITE_LOGS, str(logs), str(tmp_path)])
     assert_same_files(logs, tmp_path)
