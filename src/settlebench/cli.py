@@ -277,7 +277,7 @@ def cmd_explain(args) -> int:
     if founding.trace is None:
         print("no rule trace recorded (not a rule-based decision)")
         return 0
-    for line in rulekb.explain(rulekb.trace_from_dict(founding.trace)):
+    for line in rulekb.explain(founding.trace):
         print(line)
     return 0
 

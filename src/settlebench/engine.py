@@ -408,20 +408,8 @@ def found_city(state: GameState, player_id: int, coord: tuple[int, int]) -> City
     state.rebook_due = True
 
     if state.events is not None:
-        d = settler.decision or {}
         state.events.foundings.append(
-            FoundingRecord(
-                turn=state.turn,
-                player=player_id,
-                city_id=city.id,
-                x=x,
-                y=y,
-                score=d.get("score"),
-                features=d.get("features"),
-                trace=d.get("trace"),
-                evaluator=d.get("evaluator"),
-                decided_turn=d.get("decided_turn"),
-            )
+            FoundingRecord(turn=state.turn, player=player_id, city_id=city.id, x=x, y=y, **(settler.decision or {}))
         )
     return city
 
@@ -430,9 +418,6 @@ def set_settler_target(
     state: GameState, settler: Settler, target: tuple[int, int], decision: dict | None = None
 ) -> None:
     settler.target = target
-    if decision is not None:
-        decision = dict(decision)
-        decision.setdefault("decided_turn", state.turn)
     settler.decision = decision
     if state.events is not None:
         state.events.targets.append((settler.id, target))
@@ -672,25 +657,25 @@ def run_episode(
     game_map: GameMap | None = None,
     mapgen: MapGenConfig | None = None,
     evaluator_name: str = "unknown",
-    player_id: int = 0,
     on_turn=None,
 ) -> EpisodeLog:
-    """Run one full game; the log replays to the same final TGO.
+    """Run one full game, as player 0 of a one-player game; the log replays
+    to the same final TGO.
 
     A given `game_map` is played as is: games never write to the map, so
     every episode on it shares its cluster table and its encoded text.
     """
     episode_map = game_map if game_map is not None else generate_map(mapgen or MapGenConfig(), seed)
-    turns, tgo = _journaled_game(episode_map, config, player_id, agent, on_turn)
+    turns, tgo = _journaled_game(episode_map, config, agent, on_turn)
     return EpisodeLog(seed=seed, map_text=encode_map(episode_map), config=config, evaluator=evaluator_name,
-                      player=player_id, turns=turns, final_tgo=tgo)
+                      player=0, turns=turns, final_tgo=tgo)
 
 
-def _journaled_game(game_map: GameMap, config: GameConfig, player_id: int, agent, on_turn=None):
-    """(turn records, final TGO) of one game played journal on. A turn on
-    which no city record changed shares the turn before's list."""
+def _journaled_game(game_map: GameMap, config: GameConfig, agent, on_turn=None):
+    """(turn records, player 0's final TGO) of one game played journal on. A
+    turn on which no city record changed shares the turn before's list."""
     state = new_game(game_map, config)
-    place_initial_settlers(state, player_id)
+    place_initial_settlers(state)
     turns: list[TurnRecord] = []
     while not state.finished:
         record = step_turn(state, agent)
@@ -700,7 +685,7 @@ def _journaled_game(game_map: GameMap, config: GameConfig, player_id: int, agent
         turns.append(record)
         if on_turn is not None:
             on_turn(state)
-    return turns, state.player(player_id).output
+    return turns, state.player(0).output
 
 
 class ReplayAgent:
@@ -738,11 +723,11 @@ def replay_episode(log: EpisodeLog) -> int:
     Only the TGO is wanted, so the turns are played without a journal.
     """
     state = new_game(log.decoded_map(), log.config)
-    place_initial_settlers(state, log.player)
+    place_initial_settlers(state)
     agent = ReplayAgent(log)
     while not state.finished:
         _play_turn(state, agent)
-    return state.player(log.player).output
+    return state.player(0).output
 
 
 # -- log (de)serialization --------------------------------------------------
@@ -802,6 +787,8 @@ def read_episode_log(path) -> EpisodeLog:
             raise ValueError("not a complete episode log")
         if header.get("format") != LOG_FORMAT:
             raise ValueError(f"log format {header.get('format')!r}, not {LOG_FORMAT}")
+        if type(header.get("player")) is not int or header["player"] != 0:
+            raise ValueError(f"header player {header.get('player')!r}, not 0: an episode has one player")
         logged = []
         for rec in map(record, lines[1:-1]):
             if rec.get("kind") != "turn":
@@ -825,7 +812,7 @@ def read_episode_log(path) -> EpisodeLog:
         # a game lasts turn_limit turns; checked first, so no replay runs long
         if log.config.turn_limit != len(logged):
             raise ValueError(f"config turn_limit {log.config.turn_limit}, but {len(logged)} turn records")
-        log.turns, tgo = _journaled_game(log.decoded_map(), log.config, log.player, ReplayAgent(log))
+        log.turns, tgo = _journaled_game(log.decoded_map(), log.config, ReplayAgent(log))
         for played, decided in zip(log.turns, logged):
             if _founded(played.foundings) != _founded(decided.foundings):
                 raise ValueError(
@@ -837,6 +824,6 @@ def read_episode_log(path) -> EpisodeLog:
         if tgo != log.final_tgo:
             raise ValueError(f"the replay ends on TGO {tgo}, the footer records {log.final_tgo}")
         return log
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, SimulationError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: {reason}") from None

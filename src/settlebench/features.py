@@ -107,8 +107,6 @@ def build_dataset(logs: list[EpisodeLog]) -> Dataset:
     groups: dict[tuple[float, ...], list[float]] = {}
     for log in logs:
         for f in log.foundings():
-            if f.player != log.player:
-                continue
             if f.features is None:
                 raise ValueError(
                     f"founding of city {f.city_id} at turn {f.turn} carries no feature vector"

@@ -180,24 +180,24 @@ def evaluate_placements(evaluator: Evaluator, state: GameState, player_id: int):
 class SettlementAgent:
     """Assigns settler targets from evaluator rankings; the engine does the rest."""
 
-    def __init__(self, evaluator: Evaluator, player_id: int = 0):
+    def __init__(self, evaluator: Evaluator):
         self.evaluator = evaluator
-        self.player_id = player_id
 
     def act(self, state: GameState) -> None:
-        player = state.player(self.player_id)
+        # an episode is player 0 of a one-player game
+        player = state.player(0)
         # assigning targets changes no legality, so each target is checked once
         taken = set()
         idle = []
         for settler in player.settlers:
             target = settler.target
-            if target is not None and engine.is_legal_founding_site(state, self.player_id, target):
+            if target is not None and engine.is_legal_founding_site(state, 0, target):
                 taken.add(target)
             else:
                 idle.append(settler)
         if not idle:
             return
-        ranked = evaluate_placements(self.evaluator, state, self.player_id)
+        ranked = evaluate_placements(self.evaluator, state, 0)
         for settler in idle:
             choice = next(((c, s) for c, s in ranked if c not in taken), None)
             if choice is None:
@@ -205,12 +205,12 @@ class SettlementAgent:
                 continue
             center, score = choice
             taken.add(center)
-            trace = self.evaluator.trace_for(center)
             decision = {
                 "score": score,
-                "features": [float(v) for v in self.evaluator.features_for(state, self.player_id, center)],
-                "trace": rulekb.trace_to_dict(trace) if trace is not None else None,
+                "features": [float(v) for v in self.evaluator.features_for(state, 0, center)],
+                "trace": self.evaluator.trace_for(center),
                 "evaluator": self.evaluator.kind,
+                "decided_turn": state.turn,
             }
             engine.set_settler_target(state, settler, center, decision)
 
@@ -550,15 +550,11 @@ def _terrain_distributions(logs: list[EpisodeLog], window: int) -> tuple[dict, d
     for log in tail:
         game_map = log.decoded_map()
         for f in log.foundings():
-            if f.player != log.player:
-                continue
             terrain = game_map.tile(f.x, f.y).terrain.value
             center_counts[terrain] = center_counts.get(terrain, 0) + 1
         if log.turns:
             last = log.turns[-1]
             for cr in last.cities:
-                if cr.player != log.player:
-                    continue
                 for x, y in cr.worked:
                     terrain = game_map.tile(x, y).terrain.value
                     occupied_counts[terrain] = occupied_counts.get(terrain, 0) + 1

@@ -41,22 +41,6 @@ class ConflictSet:
 
 
 @dataclass(frozen=True)
-class FiredRule:
-    family: str
-    condition: str
-    rule_id: str
-    points: int
-    # every alternative at decision time: (rule id, points, selection probability)
-    alternatives: tuple[tuple[str, int, float], ...]
-
-
-@dataclass(frozen=True)
-class ScoreTrace:
-    fired: tuple[FiredRule, ...]
-    total: int
-
-
-@dataclass(frozen=True)
 class RuleChoice:
     # a resolved conflict set: the rule drawn, and each alternative's probability when it was drawn
     rule: ScoringRule
@@ -168,8 +152,12 @@ def match_rules(kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int]) -
 
 def score_cluster(
     kb: KnowledgeBase, game_map: GameMap, center: tuple[int, int], resolved: Mapping[str, RuleChoice]
-) -> tuple[int, ScoreTrace]:
-    """Total of the resolved rule per applicable family, with a full trace."""
+) -> tuple[int, dict]:
+    """Total of the resolved rule per applicable family, with a full trace:
+    the dict an episode log holds, {"total", "fired": [{"family",
+    "condition", "rule_id", "points", "alternatives"}, ...]}, each
+    alternative [rule id, points, selection probability] at decision time.
+    It is built of lists, so it equals its own JSON round trip."""
     fired = []
     total = 0
     for conflict_set in match_rules(kb, game_map, center):
@@ -180,65 +168,29 @@ def score_cluster(
             )
         total += choice.rule.points
         fired.append(
-            FiredRule(
-                family=conflict_set.family,
-                condition=conflict_set.condition,
-                rule_id=choice.rule.id,
-                points=choice.rule.points,
-                alternatives=tuple(
-                    (r.id, r.points, float(choice.probabilities.get(r.id, 0.0)))
-                    for r in conflict_set.rules
-                ),
-            )
+            {
+                "family": conflict_set.family,
+                "condition": conflict_set.condition,
+                "rule_id": choice.rule.id,
+                "points": choice.rule.points,
+                "alternatives": [
+                    [r.id, r.points, float(choice.probabilities.get(r.id, 0.0))] for r in conflict_set.rules
+                ],
+            }
         )
-    return total, ScoreTrace(fired=tuple(fired), total=total)
+    return total, {"total": total, "fired": fired}
 
 
-def explain(trace: ScoreTrace) -> list[str]:
-    """Stable, line-oriented account of a scoring decision."""
-    if not trace.fired:
+def explain(trace: dict) -> list[str]:
+    """Stable, line-oriented account of a scoring decision, from its trace."""
+    if not trace["fired"]:
         return ["no rules fired"]
     lines = []
-    for fr in sorted(trace.fired, key=lambda f: f.family):
-        alts = ", ".join(f"{rid}={pts:+d}@p{prob:.3f}" for rid, pts, prob in fr.alternatives)
+    for fr in sorted(trace["fired"], key=lambda f: f["family"]):
+        alts = ", ".join(f"{rid}={pts:+d}@p{prob:.3f}" for rid, pts, prob in fr["alternatives"])
         lines.append(
-            f"{fr.family}: {fr.condition} -> {fr.rule_id} adds {fr.points:+d} points"
+            f"{fr['family']}: {fr['condition']} -> {fr['rule_id']} adds {fr['points']:+d} points"
             f" [alternatives: {alts}]"
         )
-    lines.append(f"total: {trace.total}")
+    lines.append(f"total: {trace['total']}")
     return lines
-
-
-# -- trace (de)serialization for episode logs --------------------------------
-
-
-def trace_to_dict(trace: ScoreTrace) -> dict:
-    return {
-        "total": trace.total,
-        "fired": [
-            {
-                "family": fr.family,
-                "condition": fr.condition,
-                "rule_id": fr.rule_id,
-                "points": fr.points,
-                "alternatives": [[rid, pts, prob] for rid, pts, prob in fr.alternatives],
-            }
-            for fr in trace.fired
-        ],
-    }
-
-
-def trace_from_dict(d: dict) -> ScoreTrace:
-    return ScoreTrace(
-        fired=tuple(
-            FiredRule(
-                family=fr["family"],
-                condition=fr["condition"],
-                rule_id=fr["rule_id"],
-                points=fr["points"],
-                alternatives=tuple((rid, int(pts), float(prob)) for rid, pts, prob in fr["alternatives"]),
-            )
-            for fr in d["fired"]
-        ),
-        total=d["total"],
-    )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from settlebench import engine, features
+from settlebench import engine, features, harness, rulekb
 from settlebench.cli import main
 from settlebench.world import decode_map
 
@@ -228,6 +228,11 @@ def test_explain_founding_decision(kb_run, capsys):
     total_line = [l for l in printed.splitlines() if l.startswith("total:")][0]
     assert float(total_line.split(":")[1]) == f.score
     assert "alternatives" in printed
+    # the rule lines explain the trace of the same founding as played in memory, never written
+    _, _, config = harness.load_run_dir(str(kb_run))
+    played = harness.run_experiment(config).logs[int(log_path.stem.split("_")[1])]
+    (same,) = [g for g in played.foundings() if (g.turn, g.x, g.y) == (f.turn, f.x, f.y)]
+    assert printed.splitlines()[1:] == rulekb.explain(same.trace)
 
 
 def test_explain_no_decision(kb_run, capsys):

@@ -232,12 +232,12 @@ def test_rule_evaluator_matches_per_center_scoring(state, rnd, epsilon):
     scores = evaluator.score_many(state, 0, centers)
     traces, records = reference_pass(state, centers, values, rl.Policy(epsilon=epsilon, seed=7))
 
-    assert scores == [float(t.total) for t in traces]
+    assert scores == [float(t["total"]) for t in traces]
     for center, trace in zip(centers, traces):
-        assert [fr.family for fr in trace.fired] == sorted(oracle_families(state.map, center))
-        assert trace.total == sum(fr.points for fr in trace.fired)
+        assert [fr["family"] for fr in trace["fired"]] == sorted(oracle_families(state.map, center))
+        assert trace["total"] == sum(fr["points"] for fr in trace["fired"])
     # one record per matched family, in order of first appearance over centers
-    first_seen = list(dict.fromkeys(fr.family for t in traces for fr in t.fired))
+    first_seen = list(dict.fromkeys(fr["family"] for t in traces for fr in t["fired"]))
     assert [r.family for r in evaluator.records] == first_seen
     assert evaluator.records == records
     for center, trace in list(zip(centers, traces))[:5]:

@@ -124,8 +124,8 @@ def test_rule_evaluator_emits_records_and_traces():
     center, score = ranked[0]
     trace = evaluator.trace_for(center)
     assert trace is not None
-    assert trace.total == score
-    assert sum(fr.points for fr in trace.fired) == trace.total
+    assert trace["total"] == score
+    assert sum(fr["points"] for fr in trace["fired"]) == trace["total"]
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
@@ -506,8 +506,15 @@ def name_a_fixed_rule_in_the_header(records):
     records[0]["config"]["trade_split"] = [0.5, 0.0, 0.5]
 
 
-def name_a_second_player(records):
-    records[0]["player"] = 1
+def name_player(player):
+    def edit(records):
+        records[0]["player"] = player
+
+    return edit
+
+
+def map_with_no_legal_start(records):
+    records[0]["map"] = "4 4 0\n" + "\n".join(["gggg\n" * 4, "....\n" * 4, "....\n" * 4])
 
 
 def target_a_settler_not_on_the_board(records):
@@ -552,7 +559,11 @@ def refused_edit(edit, reason: str, name: str):
         refused_edit(drop_the_format, "log format None, not 2", "no-format"),
         refused_edit(name_a_fixed_rule_in_the_header, "GameConfig.__init__() got an unexpected keyword argument"
                      " 'trade_split'", "fixed-rule-in-header"),
-        refused_edit(name_a_second_player, "list index out of range", "player-not-in-the-game"),
+        refused_edit(name_player(1), "header player 1, not 0", "player-not-in-the-game"),
+        refused_edit(name_player(-1), "header player -1, not 0", "negative-player"),
+        refused_edit(name_player(False), "header player False, not 0", "player-false"),
+        refused_edit(map_with_no_legal_start, "map has no buildable tile with an in-bounds cluster",
+                     "map-with-no-legal-start"),
         refused_edit(target_a_settler_not_on_the_board, "turn 1: a target for settler 99, not on the board",
                      "ghost-settler"),
         refused_edit(give_the_first_target_float_coordinates, "turn 1: settler 0's target (15.5, 14) is not two ints",

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from settlebench.rulekb import (
     explain,
     match_rules,
     score_cluster,
-    trace_from_dict,
-    trace_to_dict,
 )
 from settlebench.world import MapGenConfig, SpecialKind, TerrainKind, generate_map
 
@@ -129,15 +128,15 @@ def test_score_cluster_empty_when_no_family_applies():
     kb = KnowledgeBase({"terrain_desert": (-10, -5, -2, 0)})
     score, trace = score_cluster(kb, *grass_site(), max_points(kb))
     assert score == 0
-    assert trace.fired == ()
+    assert trace["fired"] == []
 
 
 def test_worked_example_sums_to_27():
     score, trace = score_cluster(KB, *fig_style_site(), WORKED_EXAMPLE)
     assert score == 27
-    assert trace.total == 27
-    assert sum(fr.points for fr in trace.fired) == 27
-    assert len(trace.fired) == 4
+    assert trace["total"] == 27
+    assert sum(fr["points"] for fr in trace["fired"]) == 27
+    assert len(trace["fired"]) == 4
 
 
 def test_max_chooser_equals_family_maxima():
@@ -156,7 +155,7 @@ def test_chooser_must_return_member():
 def test_trace_families_equal_match_rules():
     site = fig_style_site()
     _, trace = score_cluster(KB, *site, max_points(KB))
-    assert [fr.family for fr in trace.fired] == [cs.family for cs in match_rules(KB, *site)]
+    assert [fr["family"] for fr in trace["fired"]] == [cs.family for cs in match_rules(KB, *site)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,7 +169,7 @@ def test_independence_of_family_contributions(alt, seed):
         solo = KnowledgeBase({cs.family: tuple(r.points for r in cs.rules)})
         part, _ = score_cluster(solo, *site, alternative(solo, alt))
         isolated += part
-    assert total == isolated == trace.total
+    assert total == isolated == trace["total"]
 
 
 def test_scaling_preserves_ranking():
@@ -211,17 +210,19 @@ def test_explain_empty_trace():
 def test_explain_worked_example():
     _, trace = score_cluster(KB, *fig_style_site(), WORKED_EXAMPLE)
     lines = explain(trace)
-    assert len(lines) == len(trace.fired) + 1
+    assert len(lines) == len(trace["fired"]) + 1
     assert lines[-1] == "total: 27"
     assert any("special_on_center" in line and "+10" in line for line in lines)
     # deterministic ordering by family id
     assert lines == explain(trace)
-    assert [line.split(":")[0] for line in lines[:-1]] == sorted(fr.family for fr in trace.fired)
+    assert [line.split(":")[0] for line in lines[:-1]] == sorted(fr["family"] for fr in trace["fired"])
 
 
 def test_trace_dict_round_trip():
+    # the trace is the dict an episode log holds: read back, it is the same
     _, trace = score_cluster(KB, *fig_style_site(), max_points(KB))
-    assert trace_from_dict(trace_to_dict(trace)) == trace
+    assert trace["fired"]
+    assert json.loads(json.dumps(trace)) == trace
 
 
 def test_default_table_matches_shipped_doc():
