@@ -193,7 +193,8 @@ class Settler:
     x: int
     y: int
     target: tuple[int, int] | None = None
-    # decision payload attached by the agent at targeting time, logged on founding
+    # the agent's decision at targeting time: FoundingRecord fields (score,
+    # features, trace, evaluator, decided turn), journaled on founding
     decision: dict | None = None
 
 

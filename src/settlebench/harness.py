@@ -178,13 +178,13 @@ def evaluate_placements(evaluator: Evaluator, state: GameState, player_id: int):
 
 
 class SettlementAgent:
-    """Assigns settler targets from evaluator rankings; the engine does the rest."""
+    """Assigns the settler targets of player 0, an episode's one player, from
+    evaluator rankings; the engine does the rest."""
 
     def __init__(self, evaluator: Evaluator):
         self.evaluator = evaluator
 
     def act(self, state: GameState) -> None:
-        # an episode is player 0 of a one-player game
         player = state.player(0)
         # assigning targets changes no legality, so each target is checked once
         taken = set()
